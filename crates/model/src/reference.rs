@@ -12,7 +12,7 @@ use defa_tensor::Tensor;
 /// per-query loops run sequentially: the scoped-thread helpers have no
 /// pool, so a spawn only pays off with real work behind it. Results are
 /// identical either way.
-const PAR_MIN_ELEMS: usize = 1 << 12;
+pub(crate) const PAR_MIN_ELEMS: usize = 1 << 12;
 
 /// Builds the full sampling-location table for `offsets` (`[n, 2·ppq]`),
 /// one query per row, applying the optional saliency warp — the
@@ -22,12 +22,16 @@ const PAR_MIN_ELEMS: usize = 1 << 12;
 ///
 /// Queries are independent, so the table is filled in disjoint
 /// `points_per_query` windows in parallel; results are bit-identical for
-/// any thread count.
+/// any thread count. The warp's per-point decisions are memoized inside
+/// the warp on the first call (see [`SaliencyWarp`]), so every later
+/// block, backend and request only pays for the jitter of redirected
+/// points.
 ///
 /// # Errors
 ///
 /// Returns [`ModelError::ShapeMismatch`] if `offsets` does not have one
-/// row of `2·points_per_query` offsets per reference point.
+/// row of `2·points_per_query` offsets per reference point, or if `warp`
+/// was generated for a configuration of another shape.
 pub fn generate_locations(
     cfg: &MsdaConfig,
     references: &[RefPoint],
@@ -43,14 +47,16 @@ pub fn generate_locations(
             2 * ppq
         )));
     }
+    let warp = match warp {
+        Some(w) => Some((w, w.choices(cfg, n)?)),
+        None => None,
+    };
     let odata = offsets.as_slice();
     let mut locations = vec![SamplePoint::new(0, 0.0, 0.0); n * ppq];
     defa_parallel::par_chunks_mut_if(n * ppq >= PAR_MIN_ELEMS, &mut locations, ppq, |i, pts| {
         query_sample_points_into(cfg, references[i], &odata[i * 2 * ppq..(i + 1) * 2 * ppq], pts);
-        if let Some(w) = warp {
-            for (slot, pt) in pts.iter_mut().enumerate() {
-                w.apply(i, slot, pt);
-            }
+        if let Some((w, choices)) = warp {
+            w.apply_choices(choices, i, pts);
         }
     });
     Ok(locations)
@@ -561,6 +567,74 @@ mod tests {
         let plain = layer.forward(wl.initial_fmap(), None).unwrap();
         let warped = layer.forward(wl.initial_fmap(), Some(wl.warp())).unwrap();
         assert_ne!(plain.locations, warped.locations);
+    }
+
+    /// Per-point oracle of [`generate_locations`]: the un-memoized
+    /// projection plus [`SaliencyWarp::apply`] on every point.
+    fn locations_oracle(
+        cfg: &MsdaConfig,
+        references: &[RefPoint],
+        offsets: &Tensor,
+        warp: &SaliencyWarp,
+    ) -> Vec<SamplePoint> {
+        let ppq = cfg.points_per_query();
+        let mut out = Vec::with_capacity(references.len() * ppq);
+        for (i, &r) in references.iter().enumerate() {
+            let row = &offsets.as_slice()[i * 2 * ppq..(i + 1) * 2 * ppq];
+            let mut pts = crate::sampling::query_sample_points(cfg, r, row);
+            for (slot, pt) in pts.iter_mut().enumerate() {
+                warp.apply(i, slot, pt);
+            }
+            out.extend(pts);
+        }
+        out
+    }
+
+    fn bits(pts: &[SamplePoint]) -> Vec<(u8, u32, u32)> {
+        pts.iter().map(|p| (p.level, p.x.to_bits(), p.y.to_bits())).collect()
+    }
+
+    #[test]
+    fn memoized_warp_matches_per_point_oracle_bit_for_bit() {
+        for cfg in [MsdaConfig::tiny(), MsdaConfig::small()] {
+            for benchmark in Benchmark::all() {
+                for threads in [1, 4] {
+                    // A fresh workload per thread count, so the memo's first
+                    // build runs under that count.
+                    let wl = SyntheticWorkload::generate(benchmark, &cfg, 42).unwrap();
+                    for layer in wl.layers() {
+                        let offsets =
+                            matmul(wl.initial_fmap().tensor(), &layer.weights().w_offset).unwrap();
+                        let memo = defa_parallel::with_num_threads(threads, || {
+                            generate_locations(&cfg, layer.references(), &offsets, Some(wl.warp()))
+                                .unwrap()
+                        });
+                        let oracle =
+                            locations_oracle(&cfg, layer.references(), &offsets, wl.warp());
+                        assert_eq!(bits(&memo), bits(&oracle), "{benchmark} {threads} threads");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn warp_of_another_shape_is_a_shape_mismatch() {
+        let tiny = SyntheticWorkload::generate(Benchmark::Dino, &MsdaConfig::tiny(), 5).unwrap();
+        let small = SyntheticWorkload::generate(Benchmark::Dino, &MsdaConfig::small(), 5).unwrap();
+        let cfg = small.config();
+        let layer = small.layer(0).unwrap();
+        let offsets = matmul(small.initial_fmap().tensor(), &layer.weights().w_offset).unwrap();
+        let err = generate_locations(cfg, layer.references(), &offsets, Some(tiny.warp()));
+        assert!(matches!(err, Err(ModelError::ShapeMismatch(_))), "{err:?}");
+        // Same query count, different slot layout.
+        let mut fewer_points = cfg.clone();
+        fewer_points.n_points -= 1;
+        let mut rng = TensorRng::seed_from(3);
+        let offsets = rng.uniform([cfg.n_in(), 2 * fewer_points.points_per_query()], -1.0, 1.0);
+        let err =
+            generate_locations(&fewer_points, layer.references(), &offsets, Some(small.warp()));
+        assert!(matches!(err, Err(ModelError::ShapeMismatch(_))), "{err:?}");
     }
 
     #[test]

@@ -16,10 +16,11 @@
 //!    (synthetic salient objects, fixed for the whole workload) that attract
 //!    a configurable fraction of sampling points via [`SaliencyWarp`].
 
-use crate::reference::{MsdaLayer, MsdaWeights};
+use crate::reference::{MsdaLayer, MsdaWeights, PAR_MIN_ELEMS};
 use crate::sampling::SamplePoint;
 use crate::{FmapPyramid, ModelError, MsdaConfig};
 use defa_tensor::rng::{splitmix64 as mix64, TensorRng};
+use std::sync::OnceLock;
 
 /// The three DAC-24 evaluation networks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -117,6 +118,35 @@ pub struct Hotspot {
     pub y: f32,
 }
 
+/// Most hotspots one pyramid level may hold: the memoized choice table
+/// stores a hotspot index per `(query, slot)` in one byte, with
+/// `u8::MAX` reserved for "leave the point where it is".
+pub const MAX_LEVEL_HOTSPOTS: usize = 254;
+
+/// Choice-table byte of a `(query, slot)` pair the warp does not redirect.
+const KEEP: u8 = u8::MAX;
+
+/// Layer shape a warp was generated for: its choice table holds one byte
+/// per `(query, slot)` of exactly this shape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WarpShape {
+    n_queries: usize,
+    n_heads: usize,
+    n_levels: usize,
+    n_points: usize,
+}
+
+impl WarpShape {
+    fn of(cfg: &MsdaConfig) -> Self {
+        WarpShape {
+            n_queries: cfg.n_in(),
+            n_heads: cfg.n_heads,
+            n_levels: cfg.n_levels(),
+            n_points: cfg.n_points,
+        }
+    }
+}
+
 /// Deterministic redirection of sampling points toward level hotspots.
 ///
 /// For each `(query, slot)` pair the warp decides — via a pure hash, so the
@@ -124,32 +154,47 @@ pub struct Hotspot {
 /// (plus jitter) or keeps its projected location. Hotspots are Zipf-weighted
 /// so a few of them dominate, reproducing the paper's skewed pixel-access
 /// frequency.
+///
+/// The decision and the chosen hotspot do not depend on the point's
+/// position, so they are the same for every block, backend and request of
+/// a workload. [`crate::reference::generate_locations`] memoizes them in a
+/// one-byte-per-point table built on its first call and afterwards only
+/// draws the jitter of redirected points.
 #[derive(Debug, Clone)]
 pub struct SaliencyWarp {
     hotspots: Vec<Vec<Hotspot>>,
     hotspot_fraction: f32,
     jitter: f32,
     seed: u64,
+    shape: WarpShape,
+    /// Hotspot index per `(query, slot)`, or [`KEEP`].
+    choices: OnceLock<Vec<u8>>,
 }
 
 impl SaliencyWarp {
-    /// Creates a warp with explicit hotspot lists (one list per level).
-    pub fn new(hotspots: Vec<Vec<Hotspot>>, hotspot_fraction: f32, jitter: f32, seed: u64) -> Self {
-        SaliencyWarp { hotspots, hotspot_fraction, jitter, seed }
-    }
-
     /// Generates hotspots for a configuration: a handful per level,
     /// positioned uniformly at random.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::InvalidConfig`] if a level would get more
+    /// than [`MAX_LEVEL_HOTSPOTS`] hotspots.
     pub fn generate(
         cfg: &MsdaConfig,
         fraction: f32,
         jitter: f32,
         rng: &mut TensorRng,
         seed: u64,
-    ) -> Self {
+    ) -> Result<Self, ModelError> {
         let mut hotspots = Vec::with_capacity(cfg.n_levels());
         for shape in &cfg.levels {
             let count = ((shape.pixels() as f32).sqrt() / 3.0).ceil().max(1.0) as usize;
+            if count > MAX_LEVEL_HOTSPOTS {
+                return Err(ModelError::InvalidConfig(format!(
+                    "level {}x{} needs {count} hotspots, at most {MAX_LEVEL_HOTSPOTS} supported",
+                    shape.h, shape.w
+                )));
+            }
             let mut level = Vec::with_capacity(count);
             for _ in 0..count {
                 level.push(Hotspot {
@@ -159,7 +204,14 @@ impl SaliencyWarp {
             }
             hotspots.push(level);
         }
-        SaliencyWarp { hotspots, hotspot_fraction: fraction, jitter, seed }
+        Ok(SaliencyWarp {
+            hotspots,
+            hotspot_fraction: fraction,
+            jitter,
+            seed,
+            shape: WarpShape::of(cfg),
+            choices: OnceLock::new(),
+        })
     }
 
     /// Hotspot lists per level.
@@ -177,6 +229,37 @@ impl SaliencyWarp {
         (h >> 40) as f32 / (1u64 << 24) as f32
     }
 
+    /// The hotspot of `level` that `(query, slot)` snaps to, or `None` if
+    /// the point keeps its projected location.
+    fn choice(&self, query: usize, slot: usize, level: usize) -> Option<usize> {
+        let spots = match self.hotspots.get(level) {
+            Some(s) if !s.is_empty() => s,
+            _ => return None,
+        };
+        if self.unit(query, slot, 0) >= self.hotspot_fraction {
+            return None;
+        }
+        // Zipf-weighted hotspot choice: weight of spot k is 1/(k+1).
+        let total: f32 = (0..spots.len()).map(|k| 1.0 / (k + 1) as f32).sum();
+        let mut u = self.unit(query, slot, 1) * total;
+        for k in 0..spots.len() {
+            let w = 1.0 / (k + 1) as f32;
+            if u < w {
+                return Some(k);
+            }
+            u -= w;
+        }
+        Some(spots.len() - 1)
+    }
+
+    /// Moves `pt` onto `spot` plus the `(query, slot)` jitter.
+    fn redirect(&self, query: usize, slot: usize, spot: Hotspot, pt: &mut SamplePoint) {
+        let jx = (self.unit(query, slot, 2) - 0.5) * 2.0 * self.jitter;
+        let jy = (self.unit(query, slot, 3) - 0.5) * 2.0 * self.jitter;
+        pt.x = spot.x + jx;
+        pt.y = spot.y + jy;
+    }
+
     /// Possibly redirects a sampling point toward a hotspot of its level.
     ///
     /// Deterministic in `(query, slot)`; the same pair always makes the
@@ -184,30 +267,60 @@ impl SaliencyWarp {
     /// inter-block predictive power.
     pub fn apply(&self, query: usize, slot: usize, pt: &mut SamplePoint) {
         let level = pt.level as usize;
-        let spots = match self.hotspots.get(level) {
-            Some(s) if !s.is_empty() => s,
-            _ => return,
-        };
-        if self.unit(query, slot, 0) >= self.hotspot_fraction {
-            return;
+        if let Some(k) = self.choice(query, slot, level) {
+            self.redirect(query, slot, self.hotspots[level][k], pt);
         }
-        // Zipf-weighted hotspot choice: weight of spot k is 1/(k+1).
-        let total: f32 = (0..spots.len()).map(|k| 1.0 / (k + 1) as f32).sum();
-        let mut u = self.unit(query, slot, 1) * total;
-        let mut chosen = spots.len() - 1;
-        for k in 0..spots.len() {
-            let w = 1.0 / (k + 1) as f32;
-            if u < w {
-                chosen = k;
-                break;
+    }
+
+    /// The memoized choice table for a layer of `cfg` with `n_queries`
+    /// queries, built on first use.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::ShapeMismatch`] if the layer's shape is not
+    /// the one the warp was generated for.
+    pub(crate) fn choices(&self, cfg: &MsdaConfig, n_queries: usize) -> Result<&[u8], ModelError> {
+        let shape = WarpShape { n_queries, ..WarpShape::of(cfg) };
+        if shape != self.shape {
+            return Err(ModelError::ShapeMismatch(format!(
+                "saliency warp generated for {:?}, used with {shape:?}",
+                self.shape
+            )));
+        }
+        let table = self.choices.get_or_init(|| {
+            let ppq = cfg.points_per_query();
+            let mut table = vec![KEEP; n_queries * ppq];
+            defa_parallel::par_chunks_mut_if(
+                table.len() >= PAR_MIN_ELEMS,
+                &mut table,
+                ppq,
+                |query, row| {
+                    for (slot, byte) in row.iter_mut().enumerate() {
+                        // Slot order is `point_slot`'s `((h·N_l) + l)·N_p + p`.
+                        let level = (slot / cfg.n_points) % cfg.n_levels();
+                        if let Some(k) = self.choice(query, slot, level) {
+                            // `generate` caps every level at
+                            // MAX_LEVEL_HOTSPOTS, so `k` never reaches KEEP.
+                            *byte = k as u8;
+                        }
+                    }
+                },
+            );
+            table
+        });
+        Ok(table)
+    }
+
+    /// Redirects one query's points (`pts`, in slot order) by its row of
+    /// a table from [`Self::choices`]: the same result as [`Self::apply`]
+    /// on every point, without re-deriving the decision.
+    pub(crate) fn apply_choices(&self, choices: &[u8], query: usize, pts: &mut [SamplePoint]) {
+        let row = &choices[query * pts.len()..(query + 1) * pts.len()];
+        for (slot, (pt, &k)) in pts.iter_mut().zip(row).enumerate() {
+            if k != KEEP {
+                self.redirect(query, slot, self.hotspots[pt.level as usize][k as usize], pt);
             }
-            u -= w;
         }
-        let spot = spots[chosen];
-        let jx = (self.unit(query, slot, 2) - 0.5) * 2.0 * self.jitter;
-        let jy = (self.unit(query, slot, 3) - 0.5) * 2.0 * self.jitter;
-        pt.x = spot.x + jx;
-        pt.y = spot.y + jy;
     }
 }
 
@@ -228,7 +341,9 @@ impl SyntheticWorkload {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidConfig`] if `cfg` fails validation.
+    /// Returns [`ModelError::InvalidConfig`] if `cfg` fails validation or
+    /// a level is too large for the saliency warp
+    /// ([`MAX_LEVEL_HOTSPOTS`]).
     pub fn generate(benchmark: Benchmark, cfg: &MsdaConfig, seed: u64) -> Result<Self, ModelError> {
         cfg.validate()?;
         let (logit_std, hotspot_fraction, offset_std) = benchmark.workload_stats();
@@ -251,7 +366,7 @@ impl SyntheticWorkload {
         }
 
         let initial = FmapPyramid::from_tensor(cfg, rng.uniform([cfg.n_in(), d], -1.0, 1.0))?;
-        let warp = SaliencyWarp::generate(cfg, hotspot_fraction, 1.5, &mut rng, seed);
+        let warp = SaliencyWarp::generate(cfg, hotspot_fraction, 1.5, &mut rng, seed)?;
         Ok(SyntheticWorkload { benchmark, cfg: cfg.clone(), layers, initial, warp, seed })
     }
 
@@ -734,6 +849,22 @@ mod tests {
         let frac = redirected as f32 / trials as f32;
         let expect = wl.benchmark().workload_stats().1;
         assert!((frac - expect).abs() < 0.1, "redirect fraction {frac} vs {expect}");
+    }
+
+    #[test]
+    fn levels_beyond_the_hotspot_cap_are_rejected() {
+        let mut rng = TensorRng::seed_from(1);
+        let with_level = |h: usize, w: usize| {
+            let mut cfg = MsdaConfig::tiny();
+            cfg.levels[0] = crate::LevelShape::new(h, w);
+            cfg
+        };
+        // ceil(sqrt(762·762) / 3) = 254 hotspots fit; 763² needs 255.
+        assert!(SaliencyWarp::generate(&with_level(762, 762), 0.6, 1.5, &mut rng, 1).is_ok());
+        let err = SaliencyWarp::generate(&with_level(763, 763), 0.6, 1.5, &mut rng, 1);
+        assert!(matches!(err, Err(ModelError::InvalidConfig(_))), "{err:?}");
+        let full = SaliencyWarp::generate(&MsdaConfig::full(), 0.6, 1.5, &mut rng, 1).unwrap();
+        assert!(full.hotspots().iter().all(|s| s.len() <= MAX_LEVEL_HOTSPOTS));
     }
 
     #[test]

@@ -152,11 +152,15 @@ impl RangeConfig {
 /// how many points were moved.
 ///
 /// `references` must hold one reference point per query and `locations`
-/// exactly `n_in · points_per_query` entries in layer order.
+/// exactly `n_in · points_per_query` entries in layer order. Each query's
+/// per-level windows are computed once and shared by all its points; the
+/// result is the same as [`RangeConfig::clamp`] on every point in order.
 ///
 /// # Errors
 ///
-/// Returns [`PruneError::ShapeMismatch`] on any length disagreement.
+/// Returns [`PruneError::ShapeMismatch`] on any length disagreement, or
+/// for a point whose level has no configured range or pyramid level
+/// (points before it are already clamped, as with a per-point loop).
 pub fn clamp_locations(
     cfg: &MsdaConfig,
     ranges: &RangeConfig,
@@ -178,12 +182,31 @@ pub fn clamp_locations(
             cfg.n_in() * ppq
         )));
     }
+    // `[x_lo, x_hi, y_lo, y_hi]` of each level that has both a shape and a
+    // range, refilled per query.
+    let mut windows = vec![[0f32; 4]; cfg.n_levels().min(ranges.ranges.len())];
     let mut moved = 0u64;
-    for (i, loc) in locations.iter_mut().enumerate() {
-        let query = i / ppq;
-        let (clamped, did_move) = ranges.clamp(cfg, references[query], *loc)?;
-        *loc = clamped;
-        moved += did_move as u64;
+    for (reference, pts) in references.iter().zip(locations.chunks_mut(ppq)) {
+        for ((window, range), &shape) in windows.iter_mut().zip(&ranges.ranges).zip(&cfg.levels) {
+            let (cx, cy) = reference.to_level(shape);
+            let (hw, hh) = (range.half_w as f32, range.half_h as f32);
+            *window = [cx - hw, cx + hw, cy - hh, cy + hh];
+        }
+        for pt in pts {
+            let l = pt.level as usize;
+            let Some(&[x_lo, x_hi, y_lo, y_hi]) = windows.get(l) else {
+                ranges.level(l)?;
+                return Err(PruneError::ShapeMismatch(format!(
+                    "level {l} out of {} pyramid levels",
+                    cfg.n_levels()
+                )));
+            };
+            let x = pt.x.clamp(x_lo, x_hi);
+            let y = pt.y.clamp(y_lo, y_hi);
+            moved += (x != pt.x || y != pt.y) as u64;
+            pt.x = x;
+            pt.y = y;
+        }
     }
     Ok(moved)
 }
@@ -253,6 +276,82 @@ mod tests {
         let refs = defa_model::sampling::reference_points(&cfg).unwrap();
         let mut locs = vec![SamplePoint::new(0, 0.0, 0.0); 3];
         assert!(clamp_locations(&cfg, &rc, &refs, &mut locs).is_err());
+    }
+
+    /// Per-point oracle of [`clamp_locations`]: [`RangeConfig::clamp`] on
+    /// every point in table order.
+    fn clamp_oracle(
+        cfg: &MsdaConfig,
+        rc: &RangeConfig,
+        refs: &[RefPoint],
+        locs: &mut [SamplePoint],
+    ) -> Result<u64, PruneError> {
+        let ppq = cfg.points_per_query();
+        let mut moved = 0;
+        for (i, loc) in locs.iter_mut().enumerate() {
+            let (pt, did_move) = rc.clamp(cfg, refs[i / ppq], *loc)?;
+            *loc = pt;
+            moved += did_move as u64;
+        }
+        Ok(moved)
+    }
+
+    /// A seeded table mixing free points, points exactly on their window's
+    /// edges and infinite coordinates, all in their slot's level.
+    fn seeded_table(cfg: &MsdaConfig, rc: &RangeConfig, seed: u64) -> Vec<SamplePoint> {
+        let refs = defa_model::sampling::reference_points(cfg).unwrap();
+        let ppq = cfg.points_per_query();
+        let mut rng = defa_tensor::rng::TensorRng::seed_from(seed);
+        let mut coord = |c: f32, half: u32| match rng.index(6) {
+            0 => c - half as f32,
+            1 => c + half as f32,
+            2 => f32::INFINITY,
+            3 => f32::NEG_INFINITY,
+            _ => c + rng.uniform_value(-3.0, 3.0) * half as f32,
+        };
+        (0..cfg.n_in() * ppq)
+            .map(|i| {
+                let level = (i % ppq / cfg.n_points) % cfg.n_levels();
+                let range = rc.ranges()[level.min(rc.ranges().len() - 1)];
+                let (cx, cy) = refs[i / ppq].to_level(cfg.levels[level]);
+                SamplePoint::new(level as u8, coord(cx, range.half_w), coord(cy, range.half_h))
+            })
+            .collect()
+    }
+
+    fn bits(pts: &[SamplePoint]) -> Vec<(u8, u32, u32)> {
+        pts.iter().map(|p| (p.level, p.x.to_bits(), p.y.to_bits())).collect()
+    }
+
+    #[test]
+    fn clamp_locations_matches_per_point_clamp() {
+        for cfg in [MsdaConfig::tiny(), MsdaConfig::small()] {
+            let refs = defa_model::sampling::reference_points(&cfg).unwrap();
+            let rc = RangeConfig::paper_defaults(&cfg);
+            for seed in [1, 2, 3] {
+                let mut fast = seeded_table(&cfg, &rc, seed);
+                let mut slow = fast.clone();
+                let moved = clamp_locations(&cfg, &rc, &refs, &mut fast).unwrap();
+                assert_eq!(moved, clamp_oracle(&cfg, &rc, &refs, &mut slow).unwrap());
+                assert!(moved > 0 && moved < fast.len() as u64);
+                assert_eq!(bits(&fast), bits(&slow));
+            }
+        }
+    }
+
+    #[test]
+    fn clamp_locations_fails_like_per_point_clamp_on_missing_ranges() {
+        let cfg = MsdaConfig::small();
+        let refs = defa_model::sampling::reference_points(&cfg).unwrap();
+        let full = RangeConfig::paper_defaults(&cfg);
+        let short = RangeConfig::new(full.ranges()[..2].to_vec()).unwrap();
+        let mut fast = seeded_table(&cfg, &full, 4);
+        let mut slow = fast.clone();
+        let err = clamp_locations(&cfg, &short, &refs, &mut fast).unwrap_err();
+        assert_eq!(err, clamp_oracle(&cfg, &short, &refs, &mut slow).unwrap_err());
+        assert!(matches!(err, PruneError::ShapeMismatch(_)));
+        // Points before the failing one are clamped exactly as the loop did.
+        assert_eq!(bits(&fast), bits(&slow));
     }
 
     #[test]
