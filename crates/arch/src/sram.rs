@@ -18,6 +18,9 @@ pub struct BankedSram {
     writes: u64,
     conflicts: u64,
     conflict_stalls: u64,
+    /// Per-bank request count of the group in flight; all zero between
+    /// [`BankedSram::read_group`] calls, so it never affects equality.
+    load: Vec<u64>,
 }
 
 impl BankedSram {
@@ -32,7 +35,15 @@ impl BankedSram {
                 "banks ({n_banks}) and word width ({word_bits}) must be positive"
             )));
         }
-        Ok(BankedSram { n_banks, word_bits, reads: 0, writes: 0, conflicts: 0, conflict_stalls: 0 })
+        Ok(BankedSram {
+            n_banks,
+            word_bits,
+            reads: 0,
+            writes: 0,
+            conflicts: 0,
+            conflict_stalls: 0,
+            load: vec![0; n_banks],
+        })
     }
 
     /// Number of banks.
@@ -56,19 +67,27 @@ impl BankedSram {
     ///
     /// Returns [`ArchError::OutOfRange`] if any bank index is invalid.
     pub fn read_group(&mut self, banks: &[usize]) -> Result<u64, ArchError> {
-        let mut load = vec![0u64; self.n_banks];
+        if let Some(&b) = banks.iter().find(|&&b| b >= self.n_banks) {
+            return Err(ArchError::OutOfRange { what: "bank", index: b, len: self.n_banks });
+        }
+        // Count into the reused per-bank buffer; a bank conflicts the
+        // moment its load reaches 2. Zero the touched banks afterwards.
+        let mut max_load = 0;
+        let mut conflicting = 0;
         for &b in banks {
-            if b >= self.n_banks {
-                return Err(ArchError::OutOfRange { what: "bank", index: b, len: self.n_banks });
-            }
-            load[b] += 1;
+            let l = &mut self.load[b];
+            *l += 1;
+            max_load = max_load.max(*l);
+            conflicting += u64::from(*l == 2);
+        }
+        for &b in banks {
+            self.load[b] = 0;
         }
         self.reads += banks.len() as u64;
-        let max_load = load.iter().copied().max().unwrap_or(0);
         if max_load <= 1 {
             Ok(1)
         } else {
-            self.conflicts += load.iter().filter(|&&l| l > 1).count() as u64;
+            self.conflicts += conflicting;
             self.conflict_stalls += 1;
             Ok(max_load + 1)
         }
@@ -171,6 +190,59 @@ mod tests {
     fn zero_parameters_are_rejected() {
         assert!(BankedSram::new(0, 12).is_err());
         assert!(BankedSram::new(16, 0).is_err());
+    }
+
+    /// The per-group formula straight from the definition: a fresh
+    /// per-bank load vector, max load, and banks loaded more than once.
+    fn reference_group(n_banks: usize, banks: &[usize]) -> (u64, u64) {
+        let mut load = vec![0u64; n_banks];
+        for &b in banks {
+            load[b] += 1;
+        }
+        let max_load = load.iter().copied().max().unwrap_or(0);
+        let conflicts = load.iter().filter(|&&l| l > 1).count() as u64;
+        if max_load <= 1 {
+            (1, 0)
+        } else {
+            (max_load + 1, conflicts)
+        }
+    }
+
+    /// The reused load buffer gives the same cycles, conflicts and stalls
+    /// as counting each group from scratch, group after group — including
+    /// after a rejected group, which must leave no residue behind.
+    #[test]
+    fn reused_load_buffer_matches_per_group_reference() {
+        let mut s = BankedSram::new(16, 12).unwrap();
+        let (mut conflicts, mut stalls, mut reads) = (0, 0, 0);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for g in 0..2_000usize {
+            let len = g % 9;
+            let banks: Vec<usize> = (0..len)
+                .map(|_| {
+                    state = defa_tensor::rng::splitmix64(state);
+                    (state % 16) as usize
+                })
+                .collect();
+            if g % 97 == 0 {
+                let mut bad = banks.clone();
+                bad.push(16);
+                assert!(s.read_group(&bad).is_err());
+            }
+            let (cycles, c) = reference_group(16, &banks);
+            assert_eq!(s.read_group(&banks).unwrap(), cycles, "group {g}: {banks:?}");
+            conflicts += c;
+            stalls += u64::from(cycles > 1);
+            reads += len as u64;
+            assert_eq!((s.conflicts(), s.conflict_stalls(), s.reads()), (conflicts, stalls, reads));
+        }
+        assert_eq!(s, {
+            let mut fresh = BankedSram::new(16, 12).unwrap();
+            fresh.reads = reads;
+            fresh.conflicts = conflicts;
+            fresh.conflict_stalls = stalls;
+            fresh
+        });
     }
 
     #[test]

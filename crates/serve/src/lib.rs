@@ -138,6 +138,7 @@ pub mod report;
 pub mod router;
 pub mod runtime;
 pub mod scheduler;
+mod slab;
 
 pub use admission::{Admission, AdmissionQueue, DropPolicy, QueuedRequest};
 pub use backend::{Backend, BackendKind, BackendOutput, ReplayBackend, DECODE_COST_DIV};

@@ -102,10 +102,12 @@ use crate::loadgen::ArrivalIter;
 use crate::obs::{Obs, ProfSection};
 use crate::report::{EpochStat, LiveStats, RequestOutcome, ServeReport};
 use crate::router::ShardView;
+use crate::slab::IdSlab;
 use crate::ServeError;
 use defa_model::workload::{RequestGenerator, SloClass};
 use defa_parallel::WorkerPool;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::{mpsc, Arc};
 
@@ -1322,6 +1324,9 @@ impl ServeRuntime {
             .collect::<Result<_, _>>()?;
         let est = Estimates::from_tables(&tables);
         let overhead_ns = cfg.batch_overhead_us.saturating_mul(1_000);
+        // Distinct sessions per batch: the whole batch becomes resident
+        // at settle, so it must itself fit the state budget.
+        let cap = if budget > 0 { cfg.max_batch.min(budget) } else { cfg.max_batch };
 
         let mut state = SimState {
             ledger: OutcomeLedger::new(cfg.outcome_capture),
@@ -1360,18 +1365,20 @@ impl ServeRuntime {
         let mut ttft_violations = 0u64;
         let mut tbt_violations = 0u64;
 
-        // Live session state. Everything iterated on a digest path is a
-        // BTree so iteration order is the key order, never hash order.
-        let mut sessions: BTreeMap<u64, SessionLive> = BTreeMap::new();
+        // Live session state, looked up by id only (never iterated).
+        let mut sessions: IdSlab<SessionLive> = IdSlab::new();
         // Per shard: decode steps whose think time has (or will have)
-        // elapsed, keyed `(ready_ns, id)` — the settle order within a
-        // batch's decode segment.
-        let mut ready: Vec<BTreeSet<(u64, u64)>> =
-            (0..fleet_size).map(|_| BTreeSet::new()).collect();
+        // elapsed, popped in `(ready_ns, id)` order — the settle order
+        // within a batch's decode segment.
+        let mut ready: Vec<ReadySet> = (0..fleet_size).map(|_| ReadySet::new()).collect();
         // Per shard: resident sessions keyed `(last_settle_ns, id)` —
-        // eviction order under the state budget.
+        // eviction order under the state budget. Iterated, so a BTree.
         let mut lru: Vec<BTreeSet<(u64, u64)>> = (0..fleet_size).map(|_| BTreeSet::new()).collect();
         let mut pending_decodes = 0usize;
+        // Per-batch buffers, reused across the whole run.
+        let mut decode_members: Vec<(u64, u64)> = Vec::with_capacity(cap);
+        let mut batch_ids: Vec<u64> = Vec::with_capacity(cap);
+        let mut victims: Vec<(u64, u64)> = Vec::new();
 
         if let Some(t0) = stream.next() {
             state.events.set_arrival(t0, 0);
@@ -1397,9 +1404,6 @@ impl ServeRuntime {
             .collect();
         let all_active: Vec<bool> = vec![true; fleet_size];
         let mut views: Vec<ShardView> = Vec::with_capacity(fleet_size);
-        // Distinct sessions per batch: the whole batch becomes resident
-        // at settle, so it must itself fit the state budget.
-        let cap = if budget > 0 { cfg.max_batch.min(budget) } else { cfg.max_batch };
 
         loop {
             let have_prefill = !queue.is_empty() || state.events.arrival().is_some();
@@ -1411,7 +1415,7 @@ impl ServeRuntime {
             // to the lower shard.
             let mut decode_at: Option<(u64, usize)> = None;
             for (s, rdy) in ready.iter().enumerate() {
-                if let Some(&(rn, _)) = rdy.iter().next() {
+                if let Some(&Reverse((rn, _))) = rdy.peek() {
                     let t = rn.max(state.shard_free[s]);
                     let better = match decode_at {
                         None => true,
@@ -1462,13 +1466,16 @@ impl ServeRuntime {
             // `(ready_ns, id)` order — they already hold state here —
             // then prefills admitted by the scheduler into the remaining
             // slots (iteration-level continuous batching).
-            let mut decode_members: Vec<(u64, u64)> = Vec::new();
+            decode_members.clear();
             while decode_members.len() < cap {
-                let due = ready[shard].iter().next().copied().filter(|&(rn, _)| rn <= t_start);
-                let Some((rn, id)) = due else { break };
-                ready[shard].remove(&(rn, id));
-                pending_decodes -= 1;
-                decode_members.push((rn, id));
+                match ready[shard].peek() {
+                    Some(&Reverse(step)) if step.0 <= t_start => {
+                        ready[shard].pop();
+                        pending_decodes -= 1;
+                        decode_members.push(step);
+                    }
+                    _ => break,
+                }
             }
             let mut members = state.scratch_members.pop().unwrap_or_default();
             let slots = cap.saturating_sub(decode_members.len());
@@ -1486,29 +1493,28 @@ impl ServeRuntime {
             // the step; evict the least-recently-settled residents not
             // riding this batch until everyone fits.
             if !gang && budget > 0 {
-                let mut batch_ids: BTreeSet<u64> = BTreeSet::new();
-                for &(_, id) in &decode_members {
-                    batch_ids.insert(id);
-                }
-                for m in &members {
-                    batch_ids.insert(m.id);
-                }
                 let newcomers = members.len()
                     + decode_members
                         .iter()
-                        .filter(|&&(_, id)| sessions.get(&id).is_some_and(|s| !s.resident))
+                        .filter(|&&(_, id)| sessions.get(id).is_some_and(|s| !s.resident))
                         .count();
                 let excess = (lru[shard].len() + newcomers).saturating_sub(budget);
                 if excess > 0 {
-                    let victims: Vec<(u64, u64)> = lru[shard]
-                        .iter()
-                        .filter(|&&(_, id)| !batch_ids.contains(&id))
-                        .take(excess)
-                        .copied()
-                        .collect();
-                    for (ls, id) in victims {
+                    batch_ids.clear();
+                    batch_ids.extend(decode_members.iter().map(|&(_, id)| id));
+                    batch_ids.extend(members.iter().map(|m| m.id));
+                    batch_ids.sort_unstable();
+                    victims.clear();
+                    victims.extend(
+                        lru[shard]
+                            .iter()
+                            .filter(|&&(_, id)| batch_ids.binary_search(&id).is_err())
+                            .take(excess)
+                            .copied(),
+                    );
+                    for &(ls, id) in &victims {
                         lru[shard].remove(&(ls, id));
-                        if let Some(sess) = sessions.get_mut(&id) {
+                        if let Some(sess) = sessions.get_mut(id) {
                             sess.resident = false;
                             sess.needs_prefill = true;
                         }
@@ -1536,7 +1542,7 @@ impl ServeRuntime {
                 iterations += 1;
                 state.obs.on_iteration();
                 let mut finished = false;
-                if let Some(sess) = sessions.get_mut(&id) {
+                if let Some(sess) = sessions.get_mut(id) {
                     let out = backend.decode_output(&sess.prefill, sess.next_iter as u64);
                     let recompute = sess.needs_prefill;
                     t += out.cost_ns;
@@ -1582,12 +1588,12 @@ impl ServeRuntime {
                     finished = sess.next_iter >= sess.len;
                     if !finished {
                         let think = profile.think_ns(seed, id, sess.next_iter);
-                        ready[shard].insert((t.saturating_add(think), id));
+                        ready[shard].push(Reverse((t.saturating_add(think), id)));
                         pending_decodes += 1;
                     }
                 }
                 if finished {
-                    if let Some(sess) = sessions.remove(&id) {
+                    if let Some(sess) = sessions.remove(id) {
                         lru[shard].remove(&(sess.last_settle_ns, id));
                         finalize_session(&mut state, shard, batches, id, t, &sess);
                     }
@@ -1700,7 +1706,7 @@ impl ServeRuntime {
                     finalize_session(&mut state, shard, batches, m.id, t, &sess);
                 } else {
                     let think = profile.think_ns(seed, m.id, 1);
-                    ready[shard].insert((t.saturating_add(think), m.id));
+                    ready[shard].push(Reverse((t.saturating_add(think), m.id)));
                     pending_decodes += 1;
                     lru[shard].insert((t, m.id));
                     sessions.insert(
@@ -1811,6 +1817,12 @@ impl ServeRuntime {
         })
     }
 }
+
+/// One shard's due decode steps as a min-heap on `(ready_ns, id)`. The
+/// engine only peeks, pops and pushes the minimum, and a session sits in
+/// at most one ready set at a time, so keys are unique and the pop order
+/// is exactly the ascending order a `BTreeSet` of the same keys iterates.
+type ReadySet = BinaryHeap<Reverse<(u64, u64)>>;
 
 /// One session mid-flight in the session engine: its static draw, the
 /// settled prefill output (the pricing base for every decode step), and
@@ -2367,5 +2379,41 @@ mod tests {
         assert!(constrained.energy.total_pj() >= unconstrained.energy.total_pj());
         let b = serve(&rt, &backend, &tight).unwrap();
         assert_eq!(constrained, b, "evictions are part of the deterministic schedule");
+    }
+
+    /// The ready sets' ordering contract: a [`ReadySet`] pops
+    /// `(ready_ns, id)` keys in exactly the ascending order a `BTreeSet`
+    /// of the same keys iterates — sessions sharing a `ready_ns` leave by
+    /// id — under the interleaved pushes and pops the engine performs.
+    #[test]
+    fn ready_set_pops_in_btreeset_order_when_sessions_share_a_ready_time() {
+        let mut heap = ReadySet::new();
+        for key in [(5, 9), (5, 2), (3, 4), (5, 7), (3, 1)] {
+            heap.push(Reverse(key));
+        }
+        let order: Vec<(u64, u64)> =
+            std::iter::from_fn(|| heap.pop().map(|Reverse(k)| k)).collect();
+        assert_eq!(order, [(3, 1), (3, 4), (5, 2), (5, 7), (5, 9)]);
+
+        let mut set = BTreeSet::new();
+        let mut h = 0x5eed_u64;
+        for step in 0..20_000u64 {
+            h = defa_tensor::rng::splitmix64(h);
+            if !h.is_multiple_of(3) || set.is_empty() {
+                // Eight distinct ready times: most pushes tie on
+                // `ready_ns`. Ids are unique (a session sits in one ready
+                // set at a time) but pushed out of id order.
+                let key = ((h >> 16) % 8, step * 7_919 % 20_011);
+                heap.push(Reverse(key));
+                assert!(set.insert(key), "ids are unique");
+            } else {
+                assert_eq!(heap.pop().map(|Reverse(k)| k), set.pop_first(), "step {step}");
+            }
+            assert_eq!(heap.peek().map(|&Reverse(k)| k), set.first().copied(), "step {step}");
+        }
+        while let Some(key) = set.pop_first() {
+            assert_eq!(heap.pop(), Some(Reverse(key)));
+        }
+        assert!(heap.is_empty());
     }
 }

@@ -258,3 +258,42 @@ fn continuous_batching_beats_gang_on_ttft_p99_under_a_constrained_budget() {
         gang.ttft.p99_ns()
     );
 }
+
+/// FNV-1a over the report's full `Debug` rendering: every field —
+/// histograms, timeline, per-shard counts, live stats — in one word.
+fn report_fingerprint(report: &ServeReport) -> u64 {
+    format!("{report:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Regression pin for the session engine's internal structures (session
+/// slab, heap-ordered ready sets, LRU eviction): an eviction-heavy EDF
+/// run — two resident sessions per shard against batches of four — must
+/// reproduce the report captured before those structures were rebuilt,
+/// field for field.
+#[test]
+fn eviction_heavy_edf_sessions_reproduce_their_pinned_report() {
+    let rt = runtime(42);
+    let cfg = ServeConfig {
+        queue_capacity: 64,
+        max_batch: 4,
+        shards: 2,
+        scheduler: SchedulerKind::Edf,
+        sessions: SessionConfig {
+            profile: SessionProfile { min_len: 3, max_len: 6, think_mean_us: 500 },
+            state_budget: 2,
+            gang: false,
+        },
+        ..ServeConfig::at_load(6_000.0, 64)
+    };
+    let report = serve(&rt, &BackendKind::Accelerator.build(), &cfg).unwrap();
+    assert_eq!((report.completed, report.dropped), (64, 0), "conservation");
+    assert_eq!(report.digest, 0xc575_4d24_90fc_552b, "digest");
+    assert_eq!(report.iterations, 285, "iterations");
+    assert_eq!(report.evictions, 168, "evictions");
+    assert_eq!(report.batches, 259, "batches");
+    assert_eq!(report.makespan_ns, 15_028_515, "makespan");
+    assert_eq!(report.energy.total_pj(), 32_319_360, "energy");
+    assert_eq!(report_fingerprint(&report), 0x259c_3406_3fca_b886, "full report");
+}
