@@ -12,9 +12,9 @@
 //!   joins `BENCH_serve.json` under `bench_diff`'s exact-match
 //!   tolerance class — so *new* violations fail CI twice over: here and
 //!   in the snapshot gate;
-//! * `--root <path>`: workspace root (default: the ancestor of this
-//!   binary's manifest, i.e. the checkout it was built from, falling
-//!   back to the current directory when run elsewhere).
+//! * `--root <path>`: workspace root (default: the nearest ancestor of
+//!   the current directory holding `analysis.allow`; it is an error if
+//!   there is none).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -44,14 +44,15 @@ fn main() -> ExitCode {
             }
         }
     }
-    let root = root.unwrap_or_else(|| {
-        let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-        if manifest.join("Cargo.toml").exists() {
-            manifest
-        } else {
-            PathBuf::from(".")
-        }
-    });
+    let root =
+        root.or_else(|| std::env::current_dir().ok().and_then(|d| defa_analysis::find_root(&d)));
+    let Some(root) = root else {
+        eprintln!(
+            "lint_static: no {} in the current directory or above; pass --root",
+            defa_analysis::ALLOWLIST_FILE
+        );
+        return ExitCode::FAILURE;
+    };
 
     let report = match defa_analysis::analyze_workspace(&root) {
         Ok(r) => r,

@@ -33,7 +33,7 @@ pub mod rules;
 pub mod walker;
 
 use report::AnalysisReport;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Name of the allowlist file at the workspace root.
 pub const ALLOWLIST_FILE: &str = "analysis.allow";
@@ -57,6 +57,16 @@ impl std::fmt::Display for AnalysisError {
 }
 
 impl std::error::Error for AnalysisError {}
+
+/// The workspace to analyze when none is named: the nearest ancestor of
+/// `start` (itself included) that holds [`ALLOWLIST_FILE`], or `None`.
+///
+/// Keying on the allowlist rather than on where the binary was built
+/// means a copied tree — even one sharing a prebuilt `target/` — is
+/// linted itself, never the checkout the binary came from.
+pub fn find_root(start: &Path) -> Option<PathBuf> {
+    start.ancestors().find(|dir| dir.join(ALLOWLIST_FILE).is_file()).map(Path::to_path_buf)
+}
 
 /// Runs the full pass over the workspace at `root`: walk every `.rs`
 /// file, lex, apply all rules, then match violations against the
@@ -90,5 +100,23 @@ mod tests {
         assert!(report.files_scanned >= 90, "walker lost files: {}", report.files_scanned);
         // Every unsafe site in the tree carries a SAFETY justification.
         assert!(report.unsafe_sites.iter().all(|s| s.documented));
+    }
+
+    #[test]
+    fn root_is_the_nearest_ancestor_holding_the_allowlist() {
+        let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let workspace = manifest.parent().and_then(Path::parent).unwrap();
+        assert_eq!(find_root(&manifest.join("src")).as_deref(), Some(workspace));
+        assert_eq!(find_root(workspace).as_deref(), Some(workspace));
+
+        // A nested allowlist wins over the outer one, and a tree without
+        // one anywhere above it has no root.
+        let outer = std::env::temp_dir().join(format!("defa-find-root-{}", std::process::id()));
+        let inner = outer.join("copy");
+        std::fs::create_dir_all(inner.join("crates/x")).unwrap();
+        std::fs::write(inner.join(ALLOWLIST_FILE), "").unwrap();
+        assert_eq!(find_root(&inner.join("crates/x")).as_deref(), Some(inner.as_path()));
+        assert_eq!(find_root(&outer), None);
+        std::fs::remove_dir_all(&outer).unwrap();
     }
 }

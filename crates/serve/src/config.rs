@@ -16,8 +16,8 @@ use defa_model::workload::SessionProfile;
 /// per-epoch timeline in [`crate::ServeReport`] exists for every run —
 /// but only a non-[`ControllerKind::NoOp`] controller actually *acts* on
 /// the boundaries. `max_shards` is the fleet ceiling an autoscaler may
-/// grow into; the fleet passed to `run_fleet` (or cloned by `run`) must
-/// cover it, and shards beyond [`ServeConfig::shards`] start inactive.
+/// grow into; the fleet of the [`crate::ServeSpec`] passed to
+/// [`crate::ServeRuntime::serve`] must cover it, and shards beyond [`ServeConfig::shards`] start inactive.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ControlConfig {
     /// Control-epoch length in virtual microseconds.

@@ -24,7 +24,8 @@ pub enum ServeError {
         /// The rejected value, with the constraint it violated.
         got: String,
     },
-    /// The fleet handed to `run_fleet` does not match the configuration.
+    /// The fleet handed to [`crate::ServeRuntime::serve`] does not match
+    /// the configuration.
     FleetMismatch {
         /// Backends in the fleet.
         fleet: usize,

@@ -1,7 +1,8 @@
 //! The typed discrete-event list driving the serving engine.
 //!
-//! One `run_fleet` call owns exactly one [`EventList`] holding every
-//! *pending* virtual-time event, in three classes ([`EventClass`]):
+//! One [`crate::ServeRuntime::serve`] call owns exactly one
+//! [`EventList`] holding every *pending* virtual-time event, in three
+//! classes ([`EventClass`]):
 //!
 //! * **Epoch boundary** — the next control-loop boundary. Exactly one is
 //!   pending at any time; crossing it schedules the next (or, across an

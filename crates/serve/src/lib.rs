@@ -55,8 +55,8 @@
 //!   prefills form the next batch: FIFO, shortest-job-first over the
 //!   backends' cost estimates, or earliest-deadline-first over per-request
 //!   [`defa_model::workload::SloClass`] budgets. Iteration-level admission
-//!   goes through [`scheduler::Scheduler::admit_into`], which fills only
-//!   the slots left after a shard's due decode steps.
+//!   goes through [`scheduler::Scheduler::select_into`], which fills only
+//!   the slots left after a shard's due decode steps, appending after them.
 //! * [`router`] — a [`router::Router`] places each batch on a shard:
 //!   round-robin, least-outstanding-work, or latency-/energy-aware over
 //!   heterogeneous fleets where shards wrap *different* backends

@@ -417,20 +417,20 @@ pub struct ArrivalIter {
     state: IterState,
 }
 
-impl Iterator for ArrivalIter {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
+impl ArrivalIter {
+    /// The next arrival time. The stream is infinite by construction, so
+    /// this always yields; [`Iterator::next`] wraps it in `Some`.
+    pub fn next_ns(&mut self) -> u64 {
         match self.state {
             IterState::Poisson { ref mut t } => {
                 *t = t.saturating_add(exp_gap_ns(&mut self.rng, self.rate));
-                Some(*t)
+                *t
             }
             IterState::Uniform { gap, ref mut k } => {
                 *k += 1;
-                Some(k.saturating_mul(gap).max(1))
+                k.saturating_mul(gap).max(1)
             }
-            IterState::Bursty(ref mut b) => Some(b.next_unbounded(&mut self.rng)),
+            IterState::Bursty(ref mut b) => b.next_unbounded(&mut self.rng),
             IterState::Trace { ref schedule, ref mut seg, ref mut t0, ref mut window } => {
                 loop {
                     if let Some((w_t0, t1, rate, cursor)) = window.as_mut() {
@@ -460,7 +460,7 @@ impl Iterator for ArrivalIter {
                             WindowState::Bursty(b) => b.next_in_window(&mut self.rng, *t1),
                         };
                         if let Some(t) = hit {
-                            return Some(t);
+                            return t;
                         }
                         // Window exhausted: the cursor crosses into the
                         // next segment.
@@ -493,6 +493,14 @@ impl Iterator for ArrivalIter {
                 }
             }
         }
+    }
+}
+
+impl Iterator for ArrivalIter {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        Some(self.next_ns())
     }
 }
 

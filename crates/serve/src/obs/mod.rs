@@ -240,8 +240,8 @@ struct MetricIds {
     evictions: Option<CounterId>,
 }
 
-/// The live observability collector threaded through one `run_fleet`
-/// call. Every hook is `#[inline]` and bails on a single boolean when
+/// The live observability collector threaded through one
+/// [`crate::ServeRuntime::serve`] call. Every hook is `#[inline]` and bails on a single boolean when
 /// the corresponding pillar is off.
 #[derive(Debug)]
 pub(crate) struct Obs {

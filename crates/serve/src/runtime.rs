@@ -365,22 +365,35 @@ impl TimelineAcc {
     }
 }
 
-/// Mutable accounting state of one `run` call.
+/// Mutable accounting state of one serving run — the scaffold both
+/// engines share. Each engine keeps only its own timing loop; arrival
+/// admission, request completion and the report go through here.
 struct SimState {
     ledger: OutcomeLedger,
     timeline: TimelineAcc,
     queue: LatencyHistogram,
     compute: LatencyHistogram,
     total: LatencyHistogram,
+    ttft: LatencyHistogram,
+    tbt: LatencyHistogram,
     completed: u64,
     dropped: u64,
     slo_violations: u64,
+    ttft_violations: u64,
+    tbt_violations: u64,
+    iterations: u64,
+    evictions: u64,
+    batches: u64,
+    batched_requests: u64,
     per_shard_completed: Vec<u64>,
     shard_free: Vec<u64>,
     makespan_ns: u64,
     energy: EnergyBreakdown,
     dense_flops: u128,
     events: EventList,
+    /// The lazy arrival trace; `events` holds its next arrival.
+    stream: ArrivalIter,
+    n_requests: u64,
     /// Requests currently riding an in-flight batch.
     inflight_members: u64,
     peak_inflight: u64,
@@ -405,6 +418,54 @@ struct SimState {
 }
 
 impl SimState {
+    /// Empty accounting for one run of `cfg` on a `fleet_size`-shard
+    /// fleet, with the trace's first arrival pending. `sessions` selects
+    /// the session engine's observability counters.
+    fn new(cfg: &ServeConfig, seed: u64, fleet_size: usize, sessions: bool) -> Self {
+        // The arrival trace streams lazily: the event list holds exactly
+        // one pending arrival; consuming it pulls the next.
+        let mut stream = cfg.arrival.stream(cfg.offered_load, seed ^ ARRIVAL_SALT);
+        let mut events = EventList::new(fleet_size);
+        events.set_arrival(stream.next_ns(), 0);
+        SimState {
+            ledger: OutcomeLedger::new(cfg.outcome_capture),
+            timeline: TimelineAcc::new(cfg.control.epoch_us.saturating_mul(1_000).max(1)),
+            queue: LatencyHistogram::new(),
+            compute: LatencyHistogram::new(),
+            total: LatencyHistogram::new(),
+            ttft: LatencyHistogram::new(),
+            tbt: LatencyHistogram::new(),
+            completed: 0,
+            dropped: 0,
+            slo_violations: 0,
+            ttft_violations: 0,
+            tbt_violations: 0,
+            iterations: 0,
+            evictions: 0,
+            batches: 0,
+            batched_requests: 0,
+            per_shard_completed: vec![0; fleet_size],
+            shard_free: vec![0; fleet_size],
+            makespan_ns: 0,
+            energy: EnergyBreakdown::ZERO,
+            dense_flops: 0,
+            events,
+            stream,
+            n_requests: cfg.n_requests as u64,
+            inflight_members: 0,
+            peak_inflight: 0,
+            epochs_stepped: 0,
+            epochs_skipped: 0,
+            ep_arrivals: 0,
+            ep_dropped: 0,
+            ep_completed: 0,
+            ep_slo: 0,
+            obs: Obs::new(&cfg.obs, seed, fleet_size, sessions),
+            scratch_members: Vec::new(),
+            scratch_results: Vec::new(),
+        }
+    }
+
     /// Settles a shard's in-flight batch: collects its real results,
     /// re-prices them for the clock the batch dispatched at, and advances
     /// the shard's virtual clock through them in batch order.
@@ -443,38 +504,10 @@ impl SimState {
             let compute_ns = t - inf.start_ns;
             self.queue.record(queue_ns);
             self.compute.record(compute_ns);
-            self.total.record(queue_ns + compute_ns);
-            self.completed += 1;
-            self.ep_completed += 1;
-            self.per_shard_completed[shard] += 1;
-            // Fixed reduction order: settle() runs on the accounting
-            // thread in batch order, and the energies are integers, so the
-            // totals are byte-identical however the batches were executed.
-            self.energy += out.energy;
-            self.dense_flops += out.dense_flops as u128;
             // Exactly `RequestOutcome::violated_slo`, without building the
             // outcome record (only the debug capture materializes one).
             let violated = queue_ns + compute_ns > m.slo.deadline_ns();
-            if violated {
-                self.slo_violations += 1;
-                self.ep_slo += 1;
-            }
-            if self.ledger.captures(m.id) {
-                self.ledger.capture(
-                    m.id,
-                    RequestOutcome::Completed {
-                        scenario: m.scenario,
-                        slo: m.slo,
-                        arrival_ns: m.arrival_ns,
-                        digest: out.digest,
-                        shard,
-                        batch: inf.batch,
-                        queue_ns,
-                        compute_ns,
-                        energy: out.energy,
-                    },
-                );
-            }
+            self.complete(shard, inf.batch, t, &Tally::new(m, queue_ns, &out, violated));
             self.obs.on_settle(
                 t,
                 m.id,
@@ -485,9 +518,6 @@ impl SimState {
                 violated,
                 out.energy.total_pj(),
             );
-            self.timeline.arrival(m.arrival_ns);
-            self.timeline.completion(t, out.energy, violated);
-            self.ledger.record(m.id, out.digest);
         }
         // Both batch buffers are drained/done: return them to the scratch
         // pools for the next dispatch (grow-on-touch, never shrink).
@@ -504,30 +534,82 @@ impl SimState {
         Ok(())
     }
 
-    /// Records whatever the admission queue decided about one arrival.
-    /// `req` is the offered newcomer, `depth` the queue depth after the
-    /// verdict; under evict-oldest the dropped id can be an older waiter
-    /// while the newcomer itself is admitted.
+    /// Folds a finished request or session, completed at `t` on `shard`
+    /// in batch `batch`, into the report accumulators: one ledger word,
+    /// one completion, one total-latency sample — requests and sessions,
+    /// not iterations, are the unit every aggregate counts.
     #[inline(always)]
-    fn record_admission(&mut self, req: &QueuedRequest, verdict: Admission, depth: usize) {
-        self.obs.on_arrival(req.arrival_ns, req.id, req.scenario);
+    fn complete(&mut self, shard: usize, batch: u64, t: u64, tally: &Tally) {
+        let total_ns = t.saturating_sub(tally.arrival_ns);
+        self.total.record(total_ns);
+        self.completed += 1;
+        self.ep_completed += 1;
+        self.per_shard_completed[shard] += 1;
+        if tally.violated {
+            self.slo_violations += 1;
+            self.ep_slo += 1;
+        }
+        // Fixed reduction order: completions fold on the accounting
+        // thread in batch order, and the energies are integers, so the
+        // totals are byte-identical however the batches were executed.
+        self.energy += tally.energy;
+        self.dense_flops += tally.flops;
+        if self.ledger.captures(tally.id) {
+            self.ledger.capture(
+                tally.id,
+                RequestOutcome::Completed {
+                    scenario: tally.scenario,
+                    slo: tally.slo,
+                    arrival_ns: tally.arrival_ns,
+                    digest: tally.digest,
+                    shard,
+                    batch,
+                    queue_ns: tally.queue_ns,
+                    // Everything after admission — compute, think times,
+                    // per-step waits — so queue + compute spans the whole.
+                    compute_ns: total_ns.saturating_sub(tally.queue_ns),
+                    energy: tally.energy,
+                },
+            );
+        }
+        self.timeline.arrival(tally.arrival_ns);
+        self.timeline.completion(t, tally.energy, tally.violated);
+        self.ledger.record(tally.id, tally.digest);
+    }
+
+    /// Admits the pending arrival: consumes it, primes the next from the
+    /// lazy stream, offers the request to the bounded queue and records
+    /// the verdict. Under evict-oldest the dropped id can be an older
+    /// waiter while the newcomer itself is admitted.
+    #[inline(always)]
+    fn admit_next(&mut self, queue: &mut AdmissionQueue, gen: &RequestGenerator, est: &Estimates) {
+        let (t, id) = self.events.take_arrival().expect("caller checked a pending arrival");
+        if id + 1 < self.n_requests {
+            let t_next = self.stream.next_ns();
+            debug_assert!(t_next >= t, "arrival stream went backwards");
+            self.events.set_arrival(t_next, id + 1);
+        }
+        let req = est.queued(gen, id, t);
+        let verdict = queue.offer(req);
+        let depth = queue.len();
+        self.obs.on_arrival(t, id, req.scenario);
         self.ep_arrivals += 1;
         match verdict {
-            Admission::Admitted => self.obs.on_admitted(req.arrival_ns, req.id, depth),
-            Admission::Dropped { id, arrival_ns } => {
-                if id != req.id {
+            Admission::Admitted => self.obs.on_admitted(t, id, depth),
+            Admission::Dropped { id: dropped, arrival_ns } => {
+                if dropped != id {
                     // Evict-oldest: the newcomer got in; an old waiter
                     // was shed at the newcomer's arrival instant.
-                    self.obs.on_admitted(req.arrival_ns, req.id, depth);
+                    self.obs.on_admitted(t, id, depth);
                 }
-                self.obs.on_dropped(req.arrival_ns, id);
+                self.obs.on_dropped(t, dropped);
                 self.dropped += 1;
                 self.ep_dropped += 1;
                 self.timeline.drop_at(arrival_ns);
-                if self.ledger.captures(id) {
-                    self.ledger.capture(id, RequestOutcome::Dropped { arrival_ns });
+                if self.ledger.captures(dropped) {
+                    self.ledger.capture(dropped, RequestOutcome::Dropped { arrival_ns });
                 }
-                self.ledger.record(id, DROP_MARK);
+                self.ledger.record(dropped, DROP_MARK);
             }
         }
     }
@@ -549,6 +631,102 @@ impl SimState {
         self.ep_slo = 0;
         c
     }
+
+    /// Checks conservation and assembles the report; `epoch_states` is
+    /// the run's fleet-state change-point log.
+    fn into_report(
+        self,
+        fleet: &[Arc<dyn Backend>],
+        cfg: &ServeConfig,
+        epoch_states: &[(u64, EpochFleetState)],
+    ) -> ServeReport {
+        // Conservation: every observed arrival was either served or shed.
+        // `drop_fraction` divides by this sum, so the invariant is what
+        // keeps the reported rate meaningful for partial traces too.
+        assert_eq!(
+            self.completed + self.dropped,
+            self.n_requests,
+            "runtime lost requests: {} completed + {} dropped != {} arrivals",
+            self.completed,
+            self.dropped,
+            self.n_requests
+        );
+        let (digest, outcomes, peak_reorder) = self.ledger.finish(self.n_requests);
+        let timeline = self.timeline.finalize(self.makespan_ns, epoch_states);
+        let static_energy_pj = timeline.iter().map(|e| e.static_pj).sum();
+        ServeReport {
+            backend: fleet_label(fleet),
+            config: cfg.clone(),
+            completed: self.completed,
+            dropped: self.dropped,
+            slo_violations: self.slo_violations,
+            iterations: self.iterations,
+            evictions: self.evictions,
+            ttft_violations: self.ttft_violations,
+            tbt_violations: self.tbt_violations,
+            batches: self.batches,
+            batched_requests: self.batched_requests,
+            queue: self.queue,
+            compute: self.compute,
+            total: self.total,
+            ttft: self.ttft,
+            tbt: self.tbt,
+            makespan_ns: self.makespan_ns,
+            energy: self.energy,
+            dense_flops: self.dense_flops,
+            digest,
+            outcomes,
+            per_shard_completed: self.per_shard_completed,
+            live: LiveStats {
+                peak_inflight: self.peak_inflight,
+                peak_events: self.events.peak_depth() as u64,
+                peak_reorder,
+                epochs_stepped: self.epochs_stepped,
+                epochs_skipped: self.epochs_skipped,
+            },
+            timeline,
+            static_energy_pj,
+            obs: self.obs.finish(),
+        }
+    }
+}
+
+/// A request's or session's running tally — its static draw plus the
+/// accumulators of every iteration it ran — which [`SimState::complete`]
+/// folds into the report once it finishes.
+struct Tally {
+    id: u64,
+    scenario: usize,
+    slo: SloClass,
+    arrival_ns: u64,
+    /// Admission wait (first batch start − arrival).
+    queue_ns: u64,
+    /// The raw response digest of a single-iteration request; an FNV fold
+    /// over the iteration digests for a longer session.
+    digest: u64,
+    energy: EnergyBreakdown,
+    flops: u128,
+    /// Blew its deadline (one-shot) or its TTFT or any TBT budget
+    /// (session).
+    violated: bool,
+}
+
+impl Tally {
+    /// The tally after the first iteration of `m` settled with `out`.
+    #[inline(always)]
+    fn new(m: &QueuedRequest, queue_ns: u64, out: &BackendOutput, violated: bool) -> Self {
+        Tally {
+            id: m.id,
+            scenario: m.scenario,
+            slo: m.slo,
+            arrival_ns: m.arrival_ns,
+            queue_ns,
+            digest: out.digest,
+            energy: out.energy,
+            flops: out.dense_flops as u128,
+            violated,
+        }
+    }
 }
 
 /// Fleet state in effect during one epoch, recorded at each boundary
@@ -562,17 +740,20 @@ struct EpochFleetState {
     idle_mw: u64,
 }
 
-/// Total idle power of the active shards at the given clock, read from
-/// the fleet's memoized pricing tables. Clocks only ever come from
-/// [`crate::control::ControllerKind::pricing_points`] — the set the
-/// tables were built over — so the lookup always hits.
-fn fleet_idle_mw(tables: &[CostTable], active: &[bool], clock: DvfsPoint) -> u64 {
-    tables
-        .iter()
-        .zip(active)
-        .filter(|(_, a)| **a)
-        .map(|(t, _)| t.idle_mw(t.point_index(clock).expect("clock is a pricing point")))
-        .sum()
+impl EpochFleetState {
+    /// The state of the `active` shards at `clock`, idle power read from
+    /// the fleet's memoized pricing tables. Clocks only ever come from
+    /// [`crate::control::ControllerKind::pricing_points`] — the set the
+    /// tables were built over — so the lookup always hits.
+    fn of(tables: &[CostTable], active: &[bool], clock: DvfsPoint) -> Self {
+        let idle_mw = tables
+            .iter()
+            .zip(active)
+            .filter(|(_, a)| **a)
+            .map(|(t, _)| t.idle_mw(t.point_index(clock).expect("clock is a pricing point")))
+            .sum();
+        EpochFleetState { active_shards: active.iter().filter(|a| **a).count(), clock, idle_mw }
+    }
 }
 
 /// Runs one request on `backend`: the payload-free fast path for
@@ -592,19 +773,6 @@ fn exec_request(
         let req = gen.request(id);
         gen.scenario(req.scenario).map_err(ServeError::from).and_then(|wl| backend.run(wl, &req))
     }
-}
-
-/// Consumes the pending arrival and primes the next from the lazy
-/// stream, returning `(arrival_ns, id)`.
-#[inline(always)]
-fn next_arrival(events: &mut EventList, stream: &mut ArrivalIter, n_requests: u64) -> (u64, u64) {
-    let (t, id) = events.take_arrival().expect("caller checked a pending arrival");
-    if id + 1 < n_requests {
-        let t_next = stream.next().expect("arrival stream is infinite");
-        debug_assert!(t_next >= t, "arrival stream went backwards");
-        events.set_arrival(t_next, id + 1);
-    }
-    (t, id)
 }
 
 /// Per-scenario and per-shard scheduling/routing estimates, computed once
@@ -673,6 +841,51 @@ impl Estimates {
             shard_decode_ns,
         }
     }
+
+    /// The queue entry of request `id` arriving at `arrival_ns`: its
+    /// seeded scenario and SLO class, the fleet-mean cost estimate SJF
+    /// orders on, and the absolute deadline EDF orders on.
+    #[inline(always)]
+    fn queued(&self, gen: &RequestGenerator, id: u64, arrival_ns: u64) -> QueuedRequest {
+        let scenario = gen.request_scenario(id);
+        let slo = gen.request_slo(id);
+        QueuedRequest {
+            id,
+            arrival_ns,
+            scenario,
+            slo,
+            est_cost_ns: self.scenario_cost_ns[scenario],
+            deadline_ns: arrival_ns.saturating_add(slo.deadline_ns()),
+        }
+    }
+
+    /// Per-shard static router rating: the dispatch overhead plus a full
+    /// `max_batch`-deep batch of scenario-mean requests.
+    fn batch_ns(&self, overhead_ns: u64, max_batch: usize) -> Vec<u64> {
+        self.shard_cost_ns
+            .iter()
+            .map(|&c| overhead_ns.saturating_add(c.saturating_mul(max_batch as u64)))
+            .collect()
+    }
+}
+
+/// Memoizes each backend's pricing surface once per run, over the
+/// controller's pricing points, and folds the scheduler and router
+/// estimates from it. The engines and the per-epoch idle accounting
+/// index these tables instead of re-running analytic estimators; the
+/// `cost` property tests pin every entry equal to the live path.
+fn price_fleet(
+    fleet: &[Arc<dyn Backend>],
+    gen: &RequestGenerator,
+    cfg: &ServeConfig,
+) -> Result<(Vec<CostTable>, Estimates), ServeError> {
+    let points = cfg.control.controller.pricing_points();
+    let tables: Vec<CostTable> = fleet
+        .iter()
+        .map(|b| CostTable::build(b.as_ref(), gen, &points))
+        .collect::<Result<_, _>>()?;
+    let est = Estimates::from_tables(&tables);
+    Ok((tables, est))
 }
 
 /// Display name of a fleet: the single backend name, or the distinct
@@ -694,10 +907,9 @@ fn fleet_label(fleet: &[Arc<dyn Backend>]) -> String {
 
 /// One fully-specified serving run: the fleet plus the operating point.
 ///
-/// This is the single typed entry point of [`ServeRuntime::serve`] —
-/// it replaces the positional `run`/`run_fleet` pair, whose argument
-/// order carried no types to catch a swap and which could not grow
-/// session parameters without breaking every call site.
+/// This is the single typed entry point of [`ServeRuntime::serve`]:
+/// fleet and configuration travel as named fields, so new run
+/// parameters grow the config instead of every call site.
 #[derive(Clone)]
 pub struct ServeSpec {
     /// One backend per shard, covering the control ceiling:
@@ -831,34 +1043,6 @@ impl ServeRuntime {
         }
     }
 
-    /// Serves one trace on a homogeneous fleet.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::serve`].
-    #[deprecated(note = "build a `ServeSpec` and call `ServeRuntime::serve`")]
-    pub fn run(
-        &self,
-        backend: &Arc<dyn Backend>,
-        cfg: &ServeConfig,
-    ) -> Result<ServeReport, ServeError> {
-        self.serve(&ServeSpec::homogeneous(backend, cfg))
-    }
-
-    /// Serves one trace on an explicit fleet.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::serve`].
-    #[deprecated(note = "build a `ServeSpec` and call `ServeRuntime::serve`")]
-    pub fn run_fleet(
-        &self,
-        fleet: &[Arc<dyn Backend>],
-        cfg: &ServeConfig,
-    ) -> Result<ServeReport, ServeError> {
-        self.serve(&ServeSpec::fleet(fleet.to_vec(), cfg))
-    }
-
     /// The legacy pipelined one-shot engine: every request is a session
     /// of exactly one iteration. `serve` validated the config and the
     /// fleet size. All pre-session digest/fingerprint pins ride this
@@ -872,21 +1056,7 @@ impl ServeRuntime {
         let scheduler = cfg.scheduler.build();
         let router = cfg.router.build();
         let mut controller: Box<dyn Controller> = cfg.control.controller.build();
-        let epoch_ns = cfg.control.epoch_us.saturating_mul(1_000).max(1);
-        let n_requests = cfg.n_requests as u64;
-        // The arrival trace streams lazily: the event list holds exactly
-        // one pending arrival; consuming it pulls the next.
-        let mut stream = cfg.arrival.stream(cfg.offered_load, self.gen.seed() ^ ARRIVAL_SALT);
-        // Memoize each backend's pricing surface once. The scheduler and
-        // router estimates below and the per-epoch idle accounting index
-        // these tables instead of re-running analytic estimators; the
-        // `cost` property tests pin every entry equal to the live path.
-        let points = cfg.control.controller.pricing_points();
-        let tables: Vec<CostTable> = fleet
-            .iter()
-            .map(|b| CostTable::build(b.as_ref(), &self.gen, &points))
-            .collect::<Result<_, _>>()?;
-        let est = Estimates::from_tables(&tables);
+        let (tables, est) = price_fleet(fleet, &self.gen, cfg)?;
         let deadline_ns = cfg.batch_deadline_us.saturating_mul(1_000);
         let overhead_ns = cfg.batch_overhead_us.saturating_mul(1_000);
         // Payload-free fleets (replay/modeled backends) execute batches
@@ -894,37 +1064,10 @@ impl ServeRuntime {
         // round-trip — the fast path trace-scale simulation rides on.
         let inline = fleet.iter().all(|b| b.payload_free());
 
-        let mut state = SimState {
-            ledger: OutcomeLedger::new(cfg.outcome_capture),
-            timeline: TimelineAcc::new(epoch_ns),
-            queue: LatencyHistogram::new(),
-            compute: LatencyHistogram::new(),
-            total: LatencyHistogram::new(),
-            completed: 0,
-            dropped: 0,
-            slo_violations: 0,
-            per_shard_completed: vec![0; fleet_size],
-            shard_free: vec![0; fleet_size],
-            makespan_ns: 0,
-            energy: EnergyBreakdown::ZERO,
-            dense_flops: 0,
-            events: EventList::new(fleet_size),
-            inflight_members: 0,
-            peak_inflight: 0,
-            epochs_stepped: 0,
-            epochs_skipped: 0,
-            ep_arrivals: 0,
-            ep_dropped: 0,
-            ep_completed: 0,
-            ep_slo: 0,
-            obs: Obs::new(&cfg.obs, self.gen.seed(), fleet_size, false),
-            scratch_members: Vec::new(),
-            scratch_results: Vec::new(),
-        };
+        let mut state = SimState::new(cfg, self.gen.seed(), fleet_size, false);
+        let epoch_ns = state.timeline.epoch_ns;
         let mut queue = AdmissionQueue::new(cfg.queue_capacity, cfg.drop);
         let mut inflight: Vec<Option<Inflight>> = (0..fleet_size).map(|_| None).collect();
-        let mut batches = 0u64;
-        let mut batched_requests = 0u64;
 
         // Control-loop state: which shards take new batches, the clock
         // batches dispatch at, and the fleet-state change-points for the
@@ -932,42 +1075,17 @@ impl ServeRuntime {
         // headroom).
         let mut active: Vec<bool> = (0..fleet_size).map(|s| s < cfg.shards).collect();
         let mut clock = DvfsPoint::NOMINAL;
-        let mut epoch_states: Vec<(u64, EpochFleetState)> = vec![(
-            0,
-            EpochFleetState {
-                active_shards: cfg.shards,
-                clock,
-                idle_mw: fleet_idle_mw(&tables, &active, clock),
-            },
-        )];
+        let mut epoch_states = vec![(0, EpochFleetState::of(&tables, &active, clock))];
         for (s, _) in active.iter().enumerate().filter(|(_, a)| **a) {
             state.events.activate_shard(s, 0);
         }
         state.events.set_boundary(epoch_ns, 0);
-        state.events.set_arrival(stream.next().expect("arrival stream is infinite"), 0);
 
         let gen = &self.gen;
-        let queued = |id: u64, arrival_ns: u64| {
-            let scenario = gen.request_scenario(id);
-            let slo = gen.request_slo(id);
-            QueuedRequest {
-                id,
-                arrival_ns,
-                scenario,
-                slo,
-                est_cost_ns: est.scenario_cost_ns[scenario],
-                deadline_ns: arrival_ns.saturating_add(slo.deadline_ns()),
-            }
-        };
         // Per-shard static router ratings, computed once; the routable
         // view buffer is rebuilt per dispatch (the active set can change
         // at any boundary) into reused storage.
-        let est_batch_ns: Vec<u64> = (0..fleet_size)
-            .map(|shard| {
-                overhead_ns
-                    .saturating_add(est.shard_cost_ns[shard].saturating_mul(cfg.max_batch as u64))
-            })
-            .collect();
+        let est_batch_ns = est.batch_ns(overhead_ns, cfg.max_batch);
         let mut views: Vec<ShardView> = Vec::with_capacity(fleet_size);
 
         loop {
@@ -1056,11 +1174,7 @@ impl ServeRuntime {
                         }
                     }
                 }
-                let st = EpochFleetState {
-                    active_shards: active.iter().filter(|a| **a).count(),
-                    clock,
-                    idle_mw: fleet_idle_mw(&tables, &active, clock),
-                };
+                let st = EpochFleetState::of(&tables, &active, clock);
                 if epoch_states.last().map(|(_, prev)| *prev != st).unwrap_or(true) {
                     epoch_states.push((epoch + 1, st));
                 }
@@ -1094,11 +1208,11 @@ impl ServeRuntime {
                 }
                 let min_free = state.events.min_active_free().expect("at least one active shard");
                 fill_views(&mut views, &active, &state.shard_free, &est_batch_ns, &est);
-                let pos = router.route(batches, min_free.max(pending), &views);
+                let pos = router.route(state.batches, min_free.max(pending), &views);
                 views[pos].shard
             } else {
                 fill_views(&mut views, &active, &state.shard_free, &est_batch_ns, &est);
-                let pos = router.route(batches, 0, &views);
+                let pos = router.route(state.batches, 0, &views);
                 let s = views[pos].shard;
                 state.settle(s, &mut inflight[s], overhead_ns, fleet[s].as_ref(), active[s])?;
                 s
@@ -1110,10 +1224,7 @@ impl ServeRuntime {
             // busy faces the bounded queue and its drop policy.
             let prof_pull = state.obs.prof_begin();
             while state.events.arrival().is_some_and(|(t, _)| t <= t_free) {
-                let (t_arr, id) = next_arrival(&mut state.events, &mut stream, n_requests);
-                let req = queued(id, t_arr);
-                let verdict = queue.offer(req);
-                state.record_admission(&req, verdict, queue.len());
+                state.admit_next(&mut queue, gen, &est);
             }
             if queue.is_empty() {
                 if state.events.arrival().is_none() {
@@ -1122,10 +1233,7 @@ impl ServeRuntime {
                 }
                 // Idle shard: virtually wait for the next arrival (an
                 // empty queue always admits).
-                let (t_arr, id) = next_arrival(&mut state.events, &mut stream, n_requests);
-                let req = queued(id, t_arr);
-                let verdict = queue.offer(req);
-                state.record_admission(&req, verdict, queue.len());
+                state.admit_next(&mut queue, gen, &est);
             }
             // Batching window: wait for a full batch unless the oldest
             // waiting request's deadline fires first.
@@ -1133,10 +1241,7 @@ impl ServeRuntime {
             while queue.len() < cfg.max_batch
                 && state.events.arrival().is_some_and(|(t, _)| t <= t_deadline)
             {
-                let (t_arr, id) = next_arrival(&mut state.events, &mut stream, n_requests);
-                let req = queued(id, t_arr);
-                let verdict = queue.offer(req);
-                state.record_admission(&req, verdict, queue.len());
+                state.admit_next(&mut queue, gen, &est);
             }
             // One live-state probe per pull phase: the queue only grows
             // between dispatches and in-flight membership is constant
@@ -1159,10 +1264,11 @@ impl ServeRuntime {
                 last_arrival // trace exhausted: flush
             };
             let start_ns = t_free.max(ready_at);
-            batched_requests += members.len() as u64;
-            state.obs.on_dispatch(start_ns, batches, shard, members.len(), clock);
+            let batch = state.batches;
+            state.batched_requests += members.len() as u64;
+            state.obs.on_dispatch(start_ns, batch, shard, members.len(), clock);
             for m in &members {
-                state.obs.on_scheduled(start_ns, m.id, batches, shard);
+                state.obs.on_scheduled(start_ns, m.id, batch, shard);
             }
 
             // Real execution. Payload-free fleets evaluate the batch
@@ -1185,7 +1291,7 @@ impl ServeRuntime {
                         .iter()
                         .map(|&(id, sc)| exec_request(&gen, backend.as_ref(), id, sc))
                         .collect();
-                    // The receiver disappears only if `run` already
+                    // The receiver disappears only if `serve` already
                     // failed; nothing to report to in that case.
                     let _ = tx.send(results);
                 });
@@ -1193,88 +1299,20 @@ impl ServeRuntime {
             };
             state.inflight_members += members.len() as u64;
             state.note_live(queue.len());
-            inflight[shard] = Some(Inflight { start_ns, batch: batches, clock, members, results });
-            batches += 1;
+            inflight[shard] = Some(Inflight { start_ns, batch, clock, members, results });
+            state.batches += 1;
             state.obs.prof_end(ProfSection::Dispatch, prof_dispatch);
         }
         for (shard, slot) in inflight.iter_mut().enumerate() {
             state.settle(shard, slot, overhead_ns, fleet[shard].as_ref(), active[shard])?;
         }
-        // Conservation: every observed arrival was either served or shed.
-        // `drop_fraction` divides by this sum, so the invariant is what
-        // keeps the reported rate meaningful for partial traces too.
-        assert_eq!(
-            state.completed + state.dropped,
-            n_requests,
-            "runtime lost requests: {} completed + {} dropped != {} arrivals",
-            state.completed,
-            state.dropped,
-            n_requests
-        );
-
-        let SimState {
-            ledger,
-            timeline,
-            queue: queue_hist,
-            compute,
-            total,
-            completed,
-            dropped,
-            slo_violations,
-            per_shard_completed,
-            makespan_ns,
-            energy,
-            dense_flops,
-            events,
-            peak_inflight,
-            epochs_stepped,
-            epochs_skipped,
-            obs,
-            ..
-        } = state;
-        let (digest, outcomes, peak_reorder) = ledger.finish(n_requests);
-        let timeline = timeline.finalize(makespan_ns, &epoch_states);
-        let static_energy_pj = timeline.iter().map(|e| e.static_pj).sum();
-        let live = LiveStats {
-            peak_inflight,
-            peak_events: events.peak_depth() as u64,
-            peak_reorder,
-            epochs_stepped,
-            epochs_skipped,
-        };
-
         // Every request is a single-iteration session: its first token is
         // its only token, so TTFT equals total latency, the TTFT budget
         // equals the class deadline, and no token-to-token gap exists.
-        let ttft = total.clone();
-        Ok(ServeReport {
-            backend: fleet_label(fleet),
-            config: cfg.clone(),
-            completed,
-            dropped,
-            slo_violations,
-            iterations: completed,
-            evictions: 0,
-            ttft_violations: slo_violations,
-            tbt_violations: 0,
-            batches,
-            batched_requests,
-            queue: queue_hist,
-            compute,
-            total,
-            ttft,
-            tbt: LatencyHistogram::new(),
-            makespan_ns,
-            energy,
-            dense_flops,
-            digest,
-            outcomes,
-            per_shard_completed,
-            live,
-            timeline,
-            static_energy_pj,
-            obs: obs.finish(),
-        })
+        state.iterations = state.completed;
+        state.ttft = state.total.clone();
+        state.ttft_violations = state.slo_violations;
+        Ok(state.into_report(fleet, cfg, &epoch_states))
     }
 
     /// The session engine: sessions as the unit of serving, with
@@ -1301,7 +1339,8 @@ impl ServeRuntime {
     /// [`Backend::decode_output`]), so free times are always exact and
     /// `batch_deadline_us` never applies: dispatch is greedy, which is
     /// what iteration-level batching means. Fleet controllers are
-    /// rejected by validation for now.
+    /// rejected by validation for now, so the configured shards serve
+    /// and any autoscaling headroom stays inactive.
     fn serve_sessions(
         &self,
         fleet: &[Arc<dyn Backend>],
@@ -1310,60 +1349,18 @@ impl ServeRuntime {
         let fleet_size = fleet.len();
         let scheduler = cfg.scheduler.build();
         let router = cfg.router.build();
-        let epoch_ns = cfg.control.epoch_us.saturating_mul(1_000).max(1);
-        let n_requests = cfg.n_requests as u64;
         let profile = cfg.sessions.profile;
         let budget = cfg.sessions.state_budget;
         let gang = cfg.sessions.gang;
         let seed = self.gen.seed();
-        let mut stream = cfg.arrival.stream(cfg.offered_load, seed ^ ARRIVAL_SALT);
-        let points = cfg.control.controller.pricing_points();
-        let tables: Vec<CostTable> = fleet
-            .iter()
-            .map(|b| CostTable::build(b.as_ref(), &self.gen, &points))
-            .collect::<Result<_, _>>()?;
-        let est = Estimates::from_tables(&tables);
+        let (tables, est) = price_fleet(fleet, &self.gen, cfg)?;
         let overhead_ns = cfg.batch_overhead_us.saturating_mul(1_000);
         // Distinct sessions per batch: the whole batch becomes resident
         // at settle, so it must itself fit the state budget.
         let cap = if budget > 0 { cfg.max_batch.min(budget) } else { cfg.max_batch };
 
-        let mut state = SimState {
-            ledger: OutcomeLedger::new(cfg.outcome_capture),
-            timeline: TimelineAcc::new(epoch_ns),
-            queue: LatencyHistogram::new(),
-            compute: LatencyHistogram::new(),
-            total: LatencyHistogram::new(),
-            completed: 0,
-            dropped: 0,
-            slo_violations: 0,
-            per_shard_completed: vec![0; fleet_size],
-            shard_free: vec![0; fleet_size],
-            makespan_ns: 0,
-            energy: EnergyBreakdown::ZERO,
-            dense_flops: 0,
-            events: EventList::new(fleet_size),
-            inflight_members: 0,
-            peak_inflight: 0,
-            epochs_stepped: 0,
-            epochs_skipped: 0,
-            ep_arrivals: 0,
-            ep_dropped: 0,
-            ep_completed: 0,
-            ep_slo: 0,
-            obs: Obs::new(&cfg.obs, seed, fleet_size, true),
-            scratch_members: Vec::new(),
-            scratch_results: Vec::new(),
-        };
+        let mut state = SimState::new(cfg, seed, fleet_size, true);
         let mut queue = AdmissionQueue::new(cfg.queue_capacity, cfg.drop);
-        let mut batches = 0u64;
-        let mut batched_requests = 0u64;
-        let mut ttft_hist = LatencyHistogram::new();
-        let mut tbt_hist = LatencyHistogram::new();
-        let mut iterations = 0u64;
-        let mut evictions = 0u64;
-        let mut ttft_violations = 0u64;
-        let mut tbt_violations = 0u64;
 
         // Live session state, looked up by id only (never iterated).
         let mut sessions: IdSlab<SessionLive> = IdSlab::new();
@@ -1380,29 +1377,9 @@ impl ServeRuntime {
         let mut batch_ids: Vec<u64> = Vec::with_capacity(cap);
         let mut victims: Vec<(u64, u64)> = Vec::new();
 
-        if let Some(t0) = stream.next() {
-            state.events.set_arrival(t0, 0);
-        }
         let gen = &self.gen;
-        let queued = |id: u64, arrival_ns: u64| {
-            let scenario = gen.request_scenario(id);
-            let slo = gen.request_slo(id);
-            QueuedRequest {
-                id,
-                arrival_ns,
-                scenario,
-                slo,
-                est_cost_ns: est.scenario_cost_ns[scenario],
-                deadline_ns: arrival_ns.saturating_add(slo.deadline_ns()),
-            }
-        };
-        let est_batch_ns: Vec<u64> = (0..fleet_size)
-            .map(|shard| {
-                overhead_ns
-                    .saturating_add(est.shard_cost_ns[shard].saturating_mul(cfg.max_batch as u64))
-            })
-            .collect();
-        let all_active: Vec<bool> = vec![true; fleet_size];
+        let est_batch_ns = est.batch_ns(overhead_ns, cfg.max_batch);
+        let active: Vec<bool> = (0..fleet_size).map(|s| s < cfg.shards).collect();
         let mut views: Vec<ShardView> = Vec::with_capacity(fleet_size);
 
         loop {
@@ -1427,14 +1404,21 @@ impl ServeRuntime {
                 }
             }
             // Earliest prefill dispatch: pending work bounded below by
-            // the earliest free shard (the router picks the shard).
+            // the earliest free active shard (the router picks the shard).
             let prefill_at = if have_prefill {
                 let pending = queue
                     .front()
                     .map(|r| r.arrival_ns)
                     .or_else(|| state.events.arrival().map(|(t, _)| t))
                     .unwrap_or(0);
-                let min_free = state.shard_free.iter().copied().min().unwrap_or(0);
+                let min_free = state
+                    .shard_free
+                    .iter()
+                    .zip(&active)
+                    .filter(|(_, a)| **a)
+                    .map(|(f, _)| *f)
+                    .min()
+                    .unwrap_or(0);
                 Some(min_free.max(pending))
             } else {
                 None
@@ -1445,8 +1429,8 @@ impl ServeRuntime {
                 (Some((td, s)), Some(tp)) if td <= tp => (td, s),
                 (Some((td, s)), None) => (td, s),
                 (None, Some(tp)) | (Some(_), Some(tp)) => {
-                    fill_views(&mut views, &all_active, &state.shard_free, &est_batch_ns, &est);
-                    let pos = router.route(batches, tp, &views);
+                    fill_views(&mut views, &active, &state.shard_free, &est_batch_ns, &est);
+                    let pos = router.route(state.batches, tp, &views);
                     let s = views[pos].shard;
                     (tp.max(state.shard_free[s]), s)
                 }
@@ -1456,16 +1440,13 @@ impl ServeRuntime {
             // Admission: everything that arrived by the batch start faces
             // the bounded queue and its drop policy.
             while state.events.arrival().is_some_and(|(t, _)| t <= t_start) {
-                let (t_arr, id) = next_arrival(&mut state.events, &mut stream, n_requests);
-                let req = queued(id, t_arr);
-                let verdict = queue.offer(req);
-                state.record_admission(&req, verdict, queue.len());
+                state.admit_next(&mut queue, gen, &est);
             }
 
             // Batch formation: due decode steps of this shard first, in
             // `(ready_ns, id)` order — they already hold state here —
-            // then prefills admitted by the scheduler into the remaining
-            // slots (iteration-level continuous batching).
+            // then prefills the scheduler picks for the remaining slots,
+            // appended after them (iteration-level continuous batching).
             decode_members.clear();
             while decode_members.len() < cap {
                 match ready[shard].peek() {
@@ -1480,7 +1461,7 @@ impl ServeRuntime {
             let mut members = state.scratch_members.pop().unwrap_or_default();
             let slots = cap.saturating_sub(decode_members.len());
             if slots > 0 && !queue.is_empty() {
-                scheduler.admit_into(&mut queue, slots, t_start, &mut members);
+                scheduler.select_into(&mut queue, slots, t_start, &mut members);
             }
             if decode_members.is_empty() && members.is_empty() {
                 // Nothing dispatchable this instant (every arrival up to
@@ -1518,20 +1499,21 @@ impl ServeRuntime {
                             sess.resident = false;
                             sess.needs_prefill = true;
                         }
-                        evictions += 1;
+                        state.evictions += 1;
                         state.obs.on_evicted(t_start, id);
                     }
                 }
             }
 
+            let batch = state.batches;
             let size = decode_members.len() + members.len();
-            batched_requests += size as u64;
-            state.obs.on_dispatch(t_start, batches, shard, size, DvfsPoint::NOMINAL);
+            state.batched_requests += size as u64;
+            state.obs.on_dispatch(t_start, batch, shard, size, DvfsPoint::NOMINAL);
             for &(_, id) in &decode_members {
-                state.obs.on_scheduled(t_start, id, batches, shard);
+                state.obs.on_scheduled(t_start, id, batch, shard);
             }
             for m in &members {
-                state.obs.on_scheduled(t_start, m.id, batches, shard);
+                state.obs.on_scheduled(t_start, m.id, batch, shard);
             }
             state.note_live(queue.len() + sessions.len());
 
@@ -1539,7 +1521,7 @@ impl ServeRuntime {
             let backend = fleet[shard].as_ref();
             let mut t = t_start + overhead_ns;
             for &(rn, id) in &decode_members {
-                iterations += 1;
+                state.iterations += 1;
                 state.obs.on_iteration();
                 let mut finished = false;
                 if let Some(sess) = sessions.get_mut(id) {
@@ -1558,15 +1540,16 @@ impl ServeRuntime {
                         step_flops += sess.prefill.dense_flops as u128;
                     }
                     let tbt = t - rn;
-                    tbt_hist.record(tbt);
-                    if tbt > sess.slo.streaming_budgets().tbt_ns {
-                        tbt_violations += 1;
-                        sess.violated = true;
+                    state.tbt.record(tbt);
+                    let tally = &mut sess.tally;
+                    if tbt > tally.slo.streaming_budgets().tbt_ns {
+                        state.tbt_violations += 1;
+                        tally.violated = true;
                     }
                     state.compute.record(t - t_start);
-                    sess.digest = crate::backend::fnv_fold(sess.digest, out.digest);
-                    sess.energy += step_energy;
-                    sess.flops += step_flops;
+                    tally.digest = crate::backend::fnv_fold(tally.digest, out.digest);
+                    tally.energy += step_energy;
+                    tally.flops += step_flops;
                     sess.needs_prefill = false;
                     if sess.resident {
                         lru[shard].remove(&(sess.last_settle_ns, id));
@@ -1579,10 +1562,10 @@ impl ServeRuntime {
                         t,
                         id,
                         shard,
-                        batches,
+                        batch,
                         tbt,
                         t - t_start,
-                        sess.violated,
+                        sess.tally.violated,
                         step_energy.total_pj(),
                     );
                     finished = sess.next_iter >= sess.len;
@@ -1595,14 +1578,14 @@ impl ServeRuntime {
                 if finished {
                     if let Some(sess) = sessions.remove(id) {
                         lru[shard].remove(&(sess.last_settle_ns, id));
-                        finalize_session(&mut state, shard, batches, id, t, &sess);
+                        state.complete(shard, batch, t, &sess.tally);
                     }
                 }
             }
             let mut results = state.scratch_results.pop().unwrap_or_default();
             results.extend(members.iter().map(|m| exec_request(gen, backend, m.id, m.scenario)));
             for (m, res) in members.iter().zip(results.drain(..)) {
-                iterations += 1;
+                state.iterations += 1;
                 state.obs.on_iteration();
                 let out = res?;
                 t += out.cost_ns;
@@ -1610,100 +1593,62 @@ impl ServeRuntime {
                 let ttft = t - m.arrival_ns;
                 state.queue.record(queue_ns);
                 state.compute.record(t - t_start);
-                ttft_hist.record(ttft);
+                state.ttft.record(ttft);
                 let budgets = m.slo.streaming_budgets();
                 let ttft_violated = ttft > budgets.ttft_ns;
                 if ttft_violated {
-                    ttft_violations += 1;
+                    state.ttft_violations += 1;
                 }
                 state.obs.on_settle(
                     t,
                     m.id,
                     shard,
-                    batches,
+                    batch,
                     queue_ns,
                     t - t_start,
                     ttft_violated,
                     out.energy.total_pj(),
                 );
                 let len = profile.session_len(seed, m.id);
-                if gang {
+                let mut tally = Tally::new(m, queue_ns, &out, ttft_violated);
+                if len > 1 {
+                    tally.digest = crate::backend::fnv_fold(crate::backend::FNV_OFFSET, out.digest);
+                }
+                if gang || len <= 1 {
                     // Gang scheduling: the session holds its batch slot
                     // from prefill to completion; decode steps and think
-                    // times serialize on the shard.
-                    let mut digest = if len <= 1 {
-                        out.digest
-                    } else {
-                        crate::backend::fnv_fold(crate::backend::FNV_OFFSET, out.digest)
-                    };
-                    let mut energy = out.energy;
-                    let mut flops = out.dense_flops as u128;
-                    let mut violated = ttft_violated;
+                    // times serialize on the shard. A single-iteration
+                    // session (no decode steps) is exactly a legacy
+                    // request: digest word `d0`, total == TTFT.
                     for iter in 1..len {
-                        iterations += 1;
+                        state.iterations += 1;
                         state.obs.on_iteration();
                         let rn = t.saturating_add(profile.think_ns(seed, m.id, iter));
                         t = rn;
                         let dout = backend.decode_output(&out, iter as u64);
                         t += dout.cost_ns;
                         let tbt = t - rn;
-                        tbt_hist.record(tbt);
+                        state.tbt.record(tbt);
                         if tbt > budgets.tbt_ns {
-                            tbt_violations += 1;
-                            violated = true;
+                            state.tbt_violations += 1;
+                            tally.violated = true;
                         }
                         state.compute.record(t - t_start);
-                        digest = crate::backend::fnv_fold(digest, dout.digest);
-                        energy += dout.energy;
-                        flops += dout.dense_flops as u128;
+                        tally.digest = crate::backend::fnv_fold(tally.digest, dout.digest);
+                        tally.energy += dout.energy;
+                        tally.flops += dout.dense_flops as u128;
                         state.obs.on_settle(
                             t,
                             m.id,
                             shard,
-                            batches,
+                            batch,
                             tbt,
                             t - t_start,
-                            violated,
+                            tally.violated,
                             dout.energy.total_pj(),
                         );
                     }
-                    let sess = SessionLive {
-                        scenario: m.scenario,
-                        slo: m.slo,
-                        arrival_ns: m.arrival_ns,
-                        len,
-                        next_iter: len,
-                        prefill: out,
-                        needs_prefill: false,
-                        resident: false,
-                        last_settle_ns: t,
-                        digest,
-                        energy,
-                        flops,
-                        queue_ns,
-                        violated,
-                    };
-                    finalize_session(&mut state, shard, batches, m.id, t, &sess);
-                } else if len <= 1 {
-                    // A single-iteration session is exactly a legacy
-                    // request: digest word `d0`, total == TTFT.
-                    let sess = SessionLive {
-                        scenario: m.scenario,
-                        slo: m.slo,
-                        arrival_ns: m.arrival_ns,
-                        len: 1,
-                        next_iter: 1,
-                        digest: out.digest,
-                        energy: out.energy,
-                        flops: out.dense_flops as u128,
-                        prefill: out,
-                        needs_prefill: false,
-                        resident: false,
-                        last_settle_ns: t,
-                        queue_ns,
-                        violated: ttft_violated,
-                    };
-                    finalize_session(&mut state, shard, batches, m.id, t, &sess);
+                    state.complete(shard, batch, t, &tally);
                 } else {
                     let think = profile.think_ns(seed, m.id, 1);
                     ready[shard].push(Reverse((t.saturating_add(think), m.id)));
@@ -1712,23 +1657,13 @@ impl ServeRuntime {
                     sessions.insert(
                         m.id,
                         SessionLive {
-                            scenario: m.scenario,
-                            slo: m.slo,
-                            arrival_ns: m.arrival_ns,
+                            tally,
                             len,
                             next_iter: 1,
-                            digest: crate::backend::fnv_fold(
-                                crate::backend::FNV_OFFSET,
-                                out.digest,
-                            ),
-                            energy: out.energy,
-                            flops: out.dense_flops as u128,
                             prefill: out,
                             needs_prefill: false,
                             resident: true,
                             last_settle_ns: t,
-                            queue_ns,
-                            violated: ttft_violated,
                         },
                     );
                 }
@@ -1738,83 +1673,11 @@ impl ServeRuntime {
             state.scratch_members.push(members);
             state.shard_free[shard] = t;
             state.makespan_ns = state.makespan_ns.max(t);
-            batches += 1;
+            state.batches += 1;
         }
         debug_assert!(sessions.is_empty(), "sessions left live: {}", sessions.len());
-        debug_assert_eq!(
-            state.completed + state.dropped,
-            n_requests,
-            "session engine lost requests"
-        );
-
-        let SimState {
-            ledger,
-            timeline,
-            queue: queue_hist,
-            compute,
-            total,
-            completed,
-            dropped,
-            slo_violations,
-            per_shard_completed,
-            makespan_ns,
-            energy,
-            dense_flops,
-            events,
-            peak_inflight,
-            obs,
-            ..
-        } = state;
-        let (digest, outcomes, peak_reorder) = ledger.finish(n_requests);
-        let clock = DvfsPoint::NOMINAL;
-        let epoch_states = vec![(
-            0,
-            EpochFleetState {
-                active_shards: cfg.shards,
-                clock,
-                idle_mw: fleet_idle_mw(&tables, &all_active, clock),
-            },
-        )];
-        let timeline = timeline.finalize(makespan_ns, &epoch_states);
-        let static_energy_pj = timeline.iter().map(|e| e.static_pj).sum();
-        let live = LiveStats {
-            peak_inflight,
-            peak_events: events.peak_depth() as u64,
-            peak_reorder,
-            // The session engine runs no control loop: no boundary is
-            // ever stepped or skipped.
-            epochs_stepped: 0,
-            epochs_skipped: 0,
-        };
-
-        Ok(ServeReport {
-            backend: fleet_label(fleet),
-            config: cfg.clone(),
-            completed,
-            dropped,
-            slo_violations,
-            iterations,
-            evictions,
-            ttft_violations,
-            tbt_violations,
-            batches,
-            batched_requests,
-            queue: queue_hist,
-            compute,
-            total,
-            ttft: ttft_hist,
-            tbt: tbt_hist,
-            makespan_ns,
-            energy,
-            dense_flops,
-            digest,
-            outcomes,
-            per_shard_completed,
-            live,
-            timeline,
-            static_energy_pj,
-            obs: obs.finish(),
-        })
+        let epoch_states = [(0, EpochFleetState::of(&tables, &active, DvfsPoint::NOMINAL))];
+        Ok(state.into_report(fleet, cfg, &epoch_states))
     }
 }
 
@@ -1824,13 +1687,12 @@ impl ServeRuntime {
 /// is exactly the ascending order a `BTreeSet` of the same keys iterates.
 type ReadySet = BinaryHeap<Reverse<(u64, u64)>>;
 
-/// One session mid-flight in the session engine: its static draw, the
+/// One session mid-flight in the session engine: its running tally, the
 /// settled prefill output (the pricing base for every decode step), and
-/// the accumulators its final settle folds into the report.
+/// its residency on its shard.
 struct SessionLive {
-    scenario: usize,
-    slo: SloClass,
-    arrival_ns: u64,
+    /// What the session's final settle folds into the report.
+    tally: Tally,
     /// Total iterations ([`defa_model::workload::SessionProfile::session_len`]).
     len: u32,
     /// The next iteration to settle (0 is the prefill).
@@ -1843,60 +1705,6 @@ struct SessionLive {
     /// Holds a state slot on its shard (tracked in the shard's LRU set).
     resident: bool,
     last_settle_ns: u64,
-    /// FNV fold over the iteration digests (the raw prefill digest for a
-    /// single-iteration session, matching the legacy engine's word).
-    digest: u64,
-    energy: EnergyBreakdown,
-    flops: u128,
-    /// Prefill admission wait (first batch start − arrival).
-    queue_ns: u64,
-    /// Blew its TTFT budget or any decode step blew its TBT budget.
-    violated: bool,
-}
-
-/// Folds a finished session into the report accumulators: one ledger
-/// word, one completion, one total-latency sample — sessions, not
-/// iterations, are the unit every aggregate counts.
-fn finalize_session(
-    state: &mut SimState,
-    shard: usize,
-    batch: u64,
-    id: u64,
-    t: u64,
-    sess: &SessionLive,
-) {
-    let total_ns = t.saturating_sub(sess.arrival_ns);
-    state.total.record(total_ns);
-    state.completed += 1;
-    state.ep_completed += 1;
-    state.per_shard_completed[shard] += 1;
-    if sess.violated {
-        state.slo_violations += 1;
-        state.ep_slo += 1;
-    }
-    state.energy += sess.energy;
-    state.dense_flops += sess.flops;
-    if state.ledger.captures(id) {
-        state.ledger.capture(
-            id,
-            RequestOutcome::Completed {
-                scenario: sess.scenario,
-                slo: sess.slo,
-                arrival_ns: sess.arrival_ns,
-                digest: sess.digest,
-                shard,
-                batch,
-                queue_ns: sess.queue_ns,
-                // Everything after admission — compute, think times,
-                // per-step waits — so queue + compute spans the session.
-                compute_ns: total_ns.saturating_sub(sess.queue_ns),
-                energy: sess.energy,
-            },
-        );
-    }
-    state.timeline.arrival(sess.arrival_ns);
-    state.timeline.completion(t, sess.energy, sess.violated);
-    state.ledger.record(id, sess.digest);
 }
 
 /// Rebuilds the routable shard views — one per *active* shard, in shard
@@ -2271,19 +2079,6 @@ mod tests {
         {
             assert!(s.contains(key), "missing {key} in:\n{s}");
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_the_spec_entry_point() {
-        let rt = runtime();
-        let backend = BackendKind::Pruned.build();
-        let cfg = ServeConfig::at_load(1_500.0, 12);
-        let via_spec = serve(&rt, &backend, &cfg).unwrap();
-        assert_eq!(rt.run(&backend, &cfg).unwrap(), via_spec);
-        let fleet = vec![Arc::clone(&backend)];
-        let one = ServeConfig { shards: 1, ..cfg };
-        assert_eq!(rt.run_fleet(&fleet, &one).unwrap(), serve_fleet(&rt, fleet, &one).unwrap());
     }
 
     #[test]

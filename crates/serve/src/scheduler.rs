@@ -69,28 +69,6 @@ pub trait Scheduler: Send + Sync {
         self.select_into(queue, max_batch, now_ns, &mut out);
         out
     }
-
-    /// Iteration-level admission: fills up to `slots` free positions of a
-    /// batch that is *already forming* — the continuous-batching hook the
-    /// session engine calls between iterations, after due decode steps
-    /// have claimed their places, so new sessions join a shard's batch
-    /// between steps instead of waiting for the shard to drain.
-    ///
-    /// Appends to `out` without clearing (the buffer already holds the
-    /// decode members). The default admits in exactly the policy's
-    /// service order ([`Scheduler::select_into`] with a `slots` budget);
-    /// policies that want different admission and formation orders
-    /// override. The purity/fairness contract is the same as
-    /// `select_into`'s.
-    fn admit_into(
-        &self,
-        queue: &mut AdmissionQueue,
-        slots: usize,
-        now_ns: u64,
-        out: &mut Vec<QueuedRequest>,
-    ) {
-        self.select_into(queue, slots, now_ns, out);
-    }
 }
 
 /// Strict arrival order (first in, first out).
@@ -301,7 +279,7 @@ mod tests {
     }
 
     #[test]
-    fn admit_into_fills_partial_batches_in_policy_order() {
+    fn select_into_appends_after_held_members_in_policy_order() {
         for kind in SchedulerKind::all() {
             let sched = kind.build();
             let mut q = queue_of(&[
@@ -310,7 +288,7 @@ mod tests {
                 (2, 30, SloClass::Standard, 200),
             ]);
             // A batch mid-formation already holds one (decode) member;
-            // admission must append after it, never clear it.
+            // selection must append after it, never clear it.
             let sentinel = QueuedRequest {
                 id: 99,
                 arrival_ns: 0,
@@ -320,7 +298,7 @@ mod tests {
                 deadline_ns: 1,
             };
             let mut batch = vec![sentinel];
-            sched.admit_into(&mut q, 2, 50, &mut batch);
+            sched.select_into(&mut q, 2, 50, &mut batch);
             assert_eq!(batch.len(), 3, "{}: 1 held + 2 admitted", kind.name());
             assert_eq!(batch[0].id, 99, "{}: held member survives", kind.name());
             // The admitted tail is the policy's own service order.

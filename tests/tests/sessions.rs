@@ -297,3 +297,37 @@ fn eviction_heavy_edf_sessions_reproduce_their_pinned_report() {
     assert_eq!(report.energy.total_pj(), 32_319_360, "energy");
     assert_eq!(report_fingerprint(&report), 0x259c_3406_3fca_b886, "full report");
 }
+
+/// Without a controller nothing activates headroom shards: a session run
+/// with an autoscaling ceiling above its shard count serves on the
+/// configured shards only, exactly like the same run without headroom —
+/// same schedule, same energy, same idle power — and the headroom shards
+/// complete nothing.
+#[test]
+fn noop_headroom_shards_stay_inactive_under_sessions() {
+    let rt = runtime(42);
+    let backend = BackendKind::Accelerator.build();
+    let base = ServeConfig {
+        queue_capacity: 32,
+        max_batch: 4,
+        shards: 2,
+        sessions: chatty_sessions(),
+        ..ServeConfig::at_load(6_000.0, 64)
+    };
+    let mut headroom = base.clone();
+    headroom.control.max_shards = 8;
+    let plain = serve(&rt, &backend, &base).unwrap();
+    let wide = serve(&rt, &backend, &headroom).unwrap();
+    assert_eq!(wide.per_shard_completed.len(), 8);
+    assert!(
+        wide.per_shard_completed[2..].iter().all(|&c| c == 0),
+        "headroom shards served work: {:?}",
+        wide.per_shard_completed
+    );
+    assert_eq!(wide.per_shard_completed[..2], plain.per_shard_completed[..]);
+    assert_eq!(wide.digest, plain.digest, "digest");
+    assert_eq!(wide.makespan_ns, plain.makespan_ns, "makespan");
+    assert_eq!(wide.energy, plain.energy, "energy");
+    assert_eq!(wide.static_energy_pj, plain.static_energy_pj, "static energy");
+    assert_eq!(wide.timeline, plain.timeline, "timeline");
+}
