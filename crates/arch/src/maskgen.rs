@@ -8,7 +8,7 @@
 //! notes the pruning machinery takes "less than 0.1 % of the overall SRAM
 //! access" (§5.4).
 
-use crate::{EventCounters, PRECISION_BITS};
+use crate::EventCounters;
 
 /// Width of one sampled-frequency counter in bits.
 pub const FREQ_COUNTER_BITS: u64 = 8;
@@ -71,12 +71,6 @@ pub fn pruning_sram_share(pruning_bits: u64, total_bits: u64) -> f64 {
     } else {
         pruning_bits as f64 / total_bits as f64
     }
-}
-
-/// Bits of one INT-quantized pixel channel — convenience for callers
-/// computing mask-relative payloads.
-pub fn channel_bits() -> u64 {
-    PRECISION_BITS
 }
 
 #[cfg(test)]

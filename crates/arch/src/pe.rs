@@ -11,15 +11,6 @@
 
 use crate::EventCounters;
 
-/// Operating mode of the array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PeMode {
-    /// Matrix-multiplication mode.
-    Matrix,
-    /// Bilinear-interpolation + aggregation mode.
-    BilinearAggregate,
-}
-
 /// The reconfigurable PE array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeArray {

@@ -22,6 +22,7 @@ use defa_arch::{BankMapping, BankedSram, Dram, EventCounters, PeArray, N_BANKS, 
 use defa_model::bilinear::Footprint;
 use defa_model::{MsdaConfig, SamplePoint};
 use defa_prune::RangeConfig;
+use std::ops::AddAssign;
 
 /// Queries per parallel simulation tile of [`MsgsEngine::run_block`].
 ///
@@ -70,6 +71,17 @@ pub struct MsgsStats {
     pub fmap_fetch_bits: u64,
     /// Sampling-value round-trip bits (zero when fused).
     pub spill_bits: u64,
+}
+
+impl AddAssign for MsgsStats {
+    fn add_assign(&mut self, rhs: Self) {
+        self.groups += rhs.groups;
+        self.points += rhs.points;
+        self.cycles += rhs.cycles;
+        self.conflicts += rhs.conflicts;
+        self.fmap_fetch_bits += rhs.fmap_fetch_bits;
+        self.spill_bits += rhs.spill_bits;
+    }
 }
 
 impl MsgsStats {
@@ -165,10 +177,7 @@ impl MsgsEngine {
         let mut dram = Dram::hbm2();
         for tile in tiles {
             let (tile_stats, tile_counters) = tile?;
-            stats.cycles += tile_stats.cycles;
-            stats.groups += tile_stats.groups;
-            stats.points += tile_stats.points;
-            stats.conflicts += tile_stats.conflicts;
+            stats += tile_stats;
             *counters += tile_counters;
         }
 

@@ -2,7 +2,7 @@
 
 use crate::msgs::MsgsStats;
 use crate::trace::StageCycles;
-use defa_arch::{AreaBreakdown, EnergyBreakdown, EventCounters, CLOCK_HZ};
+use defa_arch::{AreaBreakdown, EnergyBreakdown, EventCounters};
 use defa_model::workload::Benchmark;
 use defa_prune::ReductionStats;
 use std::fmt;
@@ -128,11 +128,6 @@ impl fmt::Display for RunReport {
         )?;
         Ok(())
     }
-}
-
-/// A default-clock constructor helper used by the runner.
-pub fn paper_clock() -> u64 {
-    CLOCK_HZ
 }
 
 #[cfg(test)]

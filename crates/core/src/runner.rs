@@ -145,12 +145,7 @@ impl DefaAccelerator {
             ) {
                 Ok((stats, stages)) => {
                     stages_total += stages;
-                    msgs_total.groups += stats.groups;
-                    msgs_total.points += stats.points;
-                    msgs_total.cycles += stats.cycles;
-                    msgs_total.conflicts += stats.conflicts;
-                    msgs_total.fmap_fetch_bits += stats.fmap_fetch_bits;
-                    msgs_total.spill_bits += stats.spill_bits;
+                    msgs_total += stats;
                 }
                 Err(e) => sim_error = Some(e),
             }
@@ -246,12 +241,7 @@ impl DefaAccelerator {
                 &mut counters,
             )?;
             stages_total += stages;
-            msgs_total.groups += stats.groups;
-            msgs_total.points += stats.points;
-            msgs_total.cycles += stats.cycles;
-            msgs_total.conflicts += stats.conflicts;
-            msgs_total.fmap_fetch_bits += stats.fmap_fetch_bits;
-            msgs_total.spill_bits += stats.spill_bits;
+            msgs_total += stats;
 
             reduction.record_block(
                 &flops,

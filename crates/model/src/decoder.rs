@@ -8,13 +8,12 @@
 //! algorithms apply unchanged (PAP on the query probabilities, FWP on the
 //! memory pixels across decoder blocks).
 
-use crate::reference::{MsdaLayer, MsdaWeights};
-use crate::sampling::{query_sample_points, RefPoint};
+use crate::reference::{generate_locations, head_softmax, MsdaLayer, MsdaWeights};
+use crate::sampling::RefPoint;
 use crate::workload::Benchmark;
 use crate::{FmapPyramid, ModelError, MsdaConfig};
 use defa_tensor::matmul::{matmul, matmul_row_masked};
 use defa_tensor::rng::TensorRng;
-use defa_tensor::softmax::softmax_inplace;
 use defa_tensor::Tensor;
 
 /// Decoder stack shape.
@@ -98,9 +97,10 @@ impl CrossMsdaLayer {
     }
 
     /// Cross-attention forward: `queries` is `[N_q, D]`, `memory` the
-    /// encoder output pyramid. Optional masks follow the encoder
-    /// conventions (`memory_mask` over tokens, `point_mask` over
-    /// `N_q · points_per_query` slots).
+    /// encoder output pyramid. `memory_mask` keeps or drops memory tokens
+    /// in the value projection (FWP); `point_mask` keeps or drops the
+    /// `N_q · points_per_query` sampling points as in
+    /// [`MsdaLayer::sample_and_aggregate`] (PAP).
     ///
     /// # Errors
     ///
@@ -114,7 +114,6 @@ impl CrossMsdaLayer {
     ) -> Result<CrossLayerOutput, ModelError> {
         let cfg = self.inner.config();
         let nq = self.n_queries();
-        let ppq = cfg.points_per_query();
         if queries.shape().dims() != [nq, cfg.d_model] {
             return Err(ModelError::ShapeMismatch(format!(
                 "queries {} expected [{nq}, {}]",
@@ -129,39 +128,15 @@ impl CrossMsdaLayer {
                 memory.d()
             )));
         }
-        if let Some(pm) = point_mask {
-            if pm.len() != nq * ppq {
-                return Err(ModelError::ShapeMismatch(format!(
-                    "point mask length {} expected {}",
-                    pm.len(),
-                    nq * ppq
-                )));
-            }
-        }
 
         let w = self.inner.weights();
-        let logits = matmul(queries, &w.w_attn)?;
-        let mut probs = logits.clone();
-        let lp = cfg.points_per_head();
-        for r in 0..nq {
-            let row = probs.row_mut(r)?;
-            for h in 0..cfg.n_heads {
-                softmax_inplace(&mut row[h * lp..(h + 1) * lp]);
-            }
-        }
-
+        let probs = head_softmax(cfg, &matmul(queries, &w.w_attn)?);
         let offsets = matmul(queries, &w.w_offset)?;
-        let mut locations = Vec::with_capacity(nq * ppq);
-        for i in 0..nq {
-            let pts = query_sample_points(cfg, self.references[i], offsets.row(i)?);
-            locations.extend_from_slice(&pts);
-        }
-
+        let locations = generate_locations(cfg, &self.references, &offsets, None)?;
         let value = match memory_mask {
             Some(mm) => matmul_row_masked(memory.tensor(), &w.w_value, mm)?,
             None => matmul(memory.tensor(), &w.w_value)?,
         };
-
         let output = self.inner.sample_and_aggregate(&probs, &locations, &value, point_mask)?;
         Ok(CrossLayerOutput { probs, locations, output })
     }

@@ -6,11 +6,10 @@
 //! two paths must agree to within accumulation rounding, which the tests
 //! check — this is the software golden model for the hardware datapath.
 
-use crate::reference::{generate_locations, LayerOutput, MsdaLayer};
+use crate::reference::{generate_locations, head_softmax, LayerOutput, MsdaLayer};
 use crate::workload::SaliencyWarp;
 use crate::{FmapPyramid, ModelError};
 use defa_tensor::qlinear::matmul_q;
-use defa_tensor::softmax::softmax_inplace;
 use defa_tensor::{QTensor, QuantParams, Tensor};
 
 /// A layer with pre-quantized weights ready for integer execution.
@@ -73,19 +72,11 @@ impl QuantizedLayer {
         warp: Option<&SaliencyWarp>,
     ) -> Result<LayerOutput, ModelError> {
         let cfg = self.layer.config();
-        let n = cfg.n_in();
         let quant_err = |e: defa_tensor::TensorError| ModelError::InvalidConfig(e.to_string());
         let qx = QuantParams::fit(x.tensor(), self.bits).map_err(quant_err)?.quantize(x.tensor());
 
         let (logits, _) = matmul_q(&qx, &self.qw_attn)?;
-        let mut probs = logits.clone();
-        let lp = cfg.points_per_head();
-        for r in 0..n {
-            let row = probs.row_mut(r)?;
-            for h in 0..cfg.n_heads {
-                softmax_inplace(&mut row[h * lp..(h + 1) * lp]);
-            }
-        }
+        let probs = head_softmax(cfg, &logits);
 
         let (offsets, _) = matmul_q(&qx, &self.qw_offset)?;
         let locations = generate_locations(cfg, self.layer.references(), &offsets, warp)?;

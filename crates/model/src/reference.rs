@@ -4,7 +4,7 @@ use crate::bilinear::Footprint;
 use crate::sampling::{query_sample_points_into, reference_points, RefPoint, SamplePoint};
 use crate::workload::SaliencyWarp;
 use crate::{FmapPyramid, ModelError, MsdaConfig};
-use defa_tensor::matmul::{matmul, matmul_row_masked};
+use defa_tensor::matmul::matmul;
 use defa_tensor::softmax::softmax_inplace;
 use defa_tensor::Tensor;
 
@@ -132,19 +132,6 @@ pub struct LayerOutput {
     pub output: Tensor,
 }
 
-/// Masks that restrict a layer evaluation to surviving data.
-///
-/// `fmap_mask[token]` keeps/drops value rows (FWP); `point_mask[global_slot]`
-/// keeps/drops sampling points (PAP), with
-/// `global_slot = query · points_per_query + slot`.
-#[derive(Debug, Clone, Default)]
-pub struct LayerMasks<'a> {
-    /// Optional feature-map pixel mask, length `N_in`.
-    pub fmap: Option<&'a [bool]>,
-    /// Optional sampling-point mask, length `N_in · N_h·N_l·N_p`.
-    pub points: Option<&'a [bool]>,
-}
-
 /// One MSDeformAttn layer: configuration plus weights.
 #[derive(Debug, Clone)]
 pub struct MsdaLayer {
@@ -184,7 +171,11 @@ impl MsdaLayer {
 
     /// Evaluates the layer exactly (no pruning).
     ///
-    /// In the encoder, queries and feature map coincide: `Q = X`.
+    /// In the encoder, queries and feature map coincide: `Q = X`. The
+    /// evaluation is the plain composition of the public stages the pruned
+    /// pipeline also runs: [`MsdaLayer::attention_probs`], the offset
+    /// projection, [`generate_locations`], the value projection and
+    /// [`MsdaLayer::sample_and_aggregate`].
     ///
     /// # Errors
     ///
@@ -194,29 +185,12 @@ impl MsdaLayer {
         x: &FmapPyramid,
         warp: Option<&SaliencyWarp>,
     ) -> Result<LayerOutput, ModelError> {
-        self.forward_masked(x, warp, &LayerMasks::default())
-    }
-
-    /// Evaluates the layer with optional FWP/PAP masks applied.
-    ///
-    /// Masked fmap pixels are excluded from the value projection (their `V`
-    /// rows stay zero, so any sample touching them reads zero — exactly the
-    /// accelerator's behaviour after the compression unit drops them).
-    /// Masked sampling points are skipped entirely; surviving probabilities
-    /// are *not* renormalized, matching the paper's PAP description.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::ShapeMismatch`] if a mask has the wrong length
-    /// or the pyramid disagrees with the configuration.
-    pub fn forward_masked(
-        &self,
-        x: &FmapPyramid,
-        warp: Option<&SaliencyWarp>,
-        masks: &LayerMasks<'_>,
-    ) -> Result<LayerOutput, ModelError> {
         let (logits, probs) = self.attention_probs(x)?;
-        self.forward_precomputed(x, logits, probs, warp, masks)
+        let offsets = matmul(x.tensor(), &self.weights.w_offset)?;
+        let locations = generate_locations(&self.cfg, &self.references, &offsets, warp)?;
+        let value = matmul(x.tensor(), &self.weights.w_value)?;
+        let output = self.sample_and_aggregate(&probs, &locations, &value, None)?;
+        Ok(LayerOutput { logits, probs, offsets, locations, value, output })
     }
 
     /// Computes only the attention logits and per-head probabilities.
@@ -232,120 +206,30 @@ impl MsdaLayer {
     /// the configuration.
     pub fn attention_probs(&self, x: &FmapPyramid) -> Result<(Tensor, Tensor), ModelError> {
         let cfg = &self.cfg;
-        let n = cfg.n_in();
-        if x.n_in() != n || x.d() != cfg.d_model {
+        if x.n_in() != cfg.n_in() || x.d() != cfg.d_model {
             return Err(ModelError::ShapeMismatch(format!(
                 "pyramid [{} x {}] does not match config [{} x {}]",
                 x.n_in(),
                 x.d(),
-                n,
+                cfg.n_in(),
                 cfg.d_model
             )));
         }
         let logits = matmul(x.tensor(), &self.weights.w_attn)?;
-        let mut probs = logits.clone();
-        let lp = cfg.points_per_head();
-        let n_heads = cfg.n_heads;
-        let ppq = cfg.points_per_query();
-        // Rows are independent distributions: normalize them in parallel.
-        defa_parallel::par_chunks_mut_if(
-            n * ppq >= PAR_MIN_ELEMS,
-            probs.as_mut_slice(),
-            ppq,
-            |_, row| {
-                for h in 0..n_heads {
-                    softmax_inplace(&mut row[h * lp..(h + 1) * lp]);
-                }
-            },
-        );
+        let probs = head_softmax(cfg, &logits);
         Ok((logits, probs))
-    }
-
-    /// Finishes a block evaluation from precomputed logits/probabilities.
-    ///
-    /// This is the remainder of the DEFA dataflow: masked offset projection,
-    /// masked value projection, MSGS and aggregation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::ShapeMismatch`] on any mask or tensor shape
-    /// disagreement.
-    pub fn forward_precomputed(
-        &self,
-        x: &FmapPyramid,
-        logits: Tensor,
-        probs: Tensor,
-        warp: Option<&SaliencyWarp>,
-        masks: &LayerMasks<'_>,
-    ) -> Result<LayerOutput, ModelError> {
-        let cfg = &self.cfg;
-        let n = cfg.n_in();
-        let ppq = cfg.points_per_query();
-        if probs.shape().dims() != [n, ppq] || logits.shape().dims() != [n, ppq] {
-            return Err(ModelError::ShapeMismatch(format!(
-                "probs {} expected [{n}, {ppq}]",
-                probs.shape()
-            )));
-        }
-        if let Some(fm) = masks.fmap {
-            if fm.len() != n {
-                return Err(ModelError::ShapeMismatch(format!(
-                    "fmap mask length {} expected {n}",
-                    fm.len()
-                )));
-            }
-        }
-        if let Some(pm) = masks.points {
-            if pm.len() != n * ppq {
-                return Err(ModelError::ShapeMismatch(format!(
-                    "point mask length {} expected {}",
-                    pm.len(),
-                    n * ppq
-                )));
-            }
-        }
-
-        let q = x.tensor();
-        let offsets = matmul(q, &self.weights.w_offset)?;
-
-        let locations = generate_locations(cfg, &self.references, &offsets, warp)?;
-
-        let value = match masks.fmap {
-            Some(fm) => matmul_row_masked(q, &self.weights.w_value, fm)?,
-            None => matmul(q, &self.weights.w_value)?,
-        };
-
-        let output = self.sample_and_aggregate(&probs, &locations, &value, masks.points)?;
-
-        Ok(LayerOutput { logits, probs, offsets, locations, value, output })
     }
 
     /// MSGS + aggregation: bilinear-samples `value` at every surviving
     /// location and sums probability-weighted samples per head.
     ///
-    /// Exposed so external drivers (pruned pipelines, the accelerator
-    /// model) can substitute their own location tables — e.g. after range
-    /// clamping — while reusing the golden sampling/aggregation kernel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError`] if tensor shapes disagree with the
-    /// configuration.
-    pub fn sample_and_aggregate(
-        &self,
-        probs: &Tensor,
-        locations: &[SamplePoint],
-        value: &Tensor,
-        point_mask: Option<&[bool]>,
-    ) -> Result<Tensor, ModelError> {
-        let mut output = Tensor::zeros([0]);
-        self.sample_and_aggregate_into(probs, locations, value, point_mask, &mut output)?;
-        Ok(output)
-    }
-
-    /// [`MsdaLayer::sample_and_aggregate`] writing into a caller-provided
-    /// tensor (allocation reused when large enough) — the allocation-free
-    /// entry point for per-block drivers.
+    /// `point_mask[query · points_per_query + slot]` keeps or drops each
+    /// sampling point (PAP). Dropped points are skipped entirely and the
+    /// surviving probabilities are *not* renormalized, matching the
+    /// paper's PAP description. Exposed so external drivers (pruned
+    /// pipelines, the accelerator model) can substitute their own location
+    /// tables — e.g. after range clamping — while reusing the golden
+    /// sampling/aggregation kernel.
     ///
     /// Queries are independent, so their output rows are computed in
     /// parallel; each row's neighbor accumulation runs in the same fixed
@@ -354,41 +238,56 @@ impl MsdaLayer {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError`] if tensor shapes disagree with the
-    /// configuration.
-    pub fn sample_and_aggregate_into(
+    /// Returns [`ModelError::ShapeMismatch`] if `probs` is not
+    /// `[n, points_per_query]`, if `locations` or `point_mask` do not hold
+    /// one entry per point of those `n` queries, or if `value` is not
+    /// `[n_in, d_model]`.
+    pub fn sample_and_aggregate(
         &self,
         probs: &Tensor,
         locations: &[SamplePoint],
         value: &Tensor,
         point_mask: Option<&[bool]>,
-        output: &mut Tensor,
-    ) -> Result<(), ModelError> {
+    ) -> Result<Tensor, ModelError> {
         let cfg = &self.cfg;
+        let ppq = cfg.points_per_query();
         // The number of queries is the probability tensor's row count:
         // it equals `n_in` for encoder self-attention but is the object
         // query count for decoder cross-attention. The column count must
         // be exactly points_per_query — the parallel loop below indexes
         // rows by that stride.
-        if probs.shape().rank() != 2 || probs.shape().dims()[1] != cfg.points_per_query() {
+        if probs.shape().rank() != 2 || probs.shape().dims()[1] != ppq {
             return Err(ModelError::ShapeMismatch(format!(
-                "probs {} expected [n, {}]",
-                probs.shape(),
-                cfg.points_per_query()
+                "probs {} expected [n, {ppq}]",
+                probs.shape()
             )));
         }
         let n = probs.shape().dims()[0];
-        if locations.len() != n * cfg.points_per_query() {
+        if locations.len() != n * ppq {
             return Err(ModelError::ShapeMismatch(format!(
-                "{} locations for {} queries x {} points",
-                locations.len(),
-                n,
-                cfg.points_per_query()
+                "{} locations for {n} queries x {ppq} points",
+                locations.len()
+            )));
+        }
+        if let Some(pm) = point_mask {
+            if pm.len() != locations.len() {
+                return Err(ModelError::ShapeMismatch(format!(
+                    "point mask length {} expected {}",
+                    pm.len(),
+                    locations.len()
+                )));
+            }
+        }
+        if value.shape().dims() != [cfg.n_in(), cfg.d_model] {
+            return Err(ModelError::ShapeMismatch(format!(
+                "value {} expected [{}, {}]",
+                value.shape(),
+                cfg.n_in(),
+                cfg.d_model
             )));
         }
         let d = cfg.d_model;
         let dh = cfg.head_dim();
-        let ppq = cfg.points_per_query();
         let lp = cfg.points_per_head();
         let n_heads = cfg.n_heads;
         let vdata = value.as_slice();
@@ -401,12 +300,11 @@ impl MsdaLayer {
         }
         let level_base = &level_base[..];
 
-        output.resize_reuse([n, d]);
+        let mut output = Tensor::zeros([n, d]);
         // Each query's aggregation walks ppq points x 4 neighbors x dh
         // channels — substantial, so the gate is on the point count alone.
         let parallel = n * ppq >= PAR_MIN_ELEMS / 4;
         defa_parallel::par_chunks_mut_if(parallel, output.as_mut_slice(), d, |i, orow_all| {
-            orow_all.fill(0.0);
             let prow = &pdata[i * ppq..(i + 1) * ppq];
             for h in 0..n_heads {
                 let chan0 = h * dh;
@@ -441,8 +339,25 @@ impl MsdaLayer {
                 }
             }
         });
-        Ok(())
+        Ok(output)
     }
+}
+
+/// Per-head softmax of `[n, points_per_query]` attention logits: every
+/// row holds `n_heads` independent distributions over their
+/// `points_per_head` sampling points. Rows are normalized in parallel,
+/// bit-identically for any thread count.
+pub(crate) fn head_softmax(cfg: &MsdaConfig, logits: &Tensor) -> Tensor {
+    let mut probs = logits.clone();
+    let lp = cfg.points_per_head();
+    let ppq = cfg.points_per_query();
+    let parallel = probs.len() >= PAR_MIN_ELEMS;
+    defa_parallel::par_chunks_mut_if(parallel, probs.as_mut_slice(), ppq, |_, row| {
+        for head in row.chunks_exact_mut(lp) {
+            softmax_inplace(head);
+        }
+    });
+    probs
 }
 
 #[cfg(test)]
@@ -505,24 +420,27 @@ mod tests {
         let exact = layer.forward(&x, None).unwrap();
         let fmap_mask = vec![true; cfg.n_in()];
         let point_mask = vec![true; cfg.n_in() * cfg.points_per_query()];
+        let value = defa_tensor::matmul::matmul_row_masked(
+            x.tensor(),
+            &layer.weights().w_value,
+            &fmap_mask,
+        )
+        .unwrap();
         let masked = layer
-            .forward_masked(
-                &x,
-                None,
-                &LayerMasks { fmap: Some(&fmap_mask), points: Some(&point_mask) },
-            )
+            .sample_and_aggregate(&exact.probs, &exact.locations, &value, Some(&point_mask))
             .unwrap();
-        assert!(masked.output.relative_l2_error(&exact.output).unwrap() < 1e-6);
+        assert_eq!(masked, exact.output);
     }
 
     #[test]
     fn all_false_point_mask_zeroes_output() {
         let (cfg, layer, x) = tiny_layer(4);
+        let exact = layer.forward(&x, None).unwrap();
         let point_mask = vec![false; cfg.n_in() * cfg.points_per_query()];
         let masked = layer
-            .forward_masked(&x, None, &LayerMasks { fmap: None, points: Some(&point_mask) })
+            .sample_and_aggregate(&exact.probs, &exact.locations, &exact.value, Some(&point_mask))
             .unwrap();
-        assert_eq!(masked.output.max_abs(), 0.0);
+        assert_eq!(masked.max_abs(), 0.0);
     }
 
     #[test]
@@ -530,33 +448,32 @@ mod tests {
         let (cfg, layer, x) = tiny_layer(5);
         let exact = layer.forward(&x, None).unwrap();
         // Drop points with probability < 1%: output should barely move.
-        let ppq = cfg.points_per_query();
-        let mut mask = vec![true; cfg.n_in() * ppq];
-        for i in 0..cfg.n_in() {
-            let row = exact.probs.row(i).unwrap();
-            for s in 0..ppq {
-                if row[s] < 0.01 {
-                    mask[i * ppq + s] = false;
-                }
-            }
-        }
+        let mask: Vec<bool> = exact.probs.as_slice().iter().map(|&p| p >= 0.01).collect();
+        assert!(mask.contains(&false));
+        assert_eq!(mask.len(), cfg.n_in() * cfg.points_per_query());
         let pruned = layer
-            .forward_masked(&x, None, &LayerMasks { fmap: None, points: Some(&mask) })
+            .sample_and_aggregate(&exact.probs, &exact.locations, &exact.value, Some(&mask))
             .unwrap();
-        let err = pruned.output.relative_l2_error(&exact.output).unwrap();
+        let err = pruned.relative_l2_error(&exact.output).unwrap();
         assert!(err < 0.05, "err={err}");
     }
 
     #[test]
     fn mask_length_is_validated() {
-        let (_, layer, x) = tiny_layer(6);
+        let (cfg, layer, x) = tiny_layer(6);
+        let exact = layer.forward(&x, None).unwrap();
+        let sample = |value: &Tensor, mask: Option<&[bool]>| {
+            layer.sample_and_aggregate(&exact.probs, &exact.locations, value, mask)
+        };
         let short = vec![true; 3];
-        assert!(layer
-            .forward_masked(&x, None, &LayerMasks { fmap: Some(&short), points: None })
-            .is_err());
-        assert!(layer
-            .forward_masked(&x, None, &LayerMasks { fmap: None, points: Some(&short) })
-            .is_err());
+        let err = sample(&exact.value, Some(&short));
+        assert!(matches!(err, Err(ModelError::ShapeMismatch(_))), "{err:?}");
+        // A value tensor with too few token rows, or the wrong width.
+        for bad in [Tensor::zeros([2, cfg.d_model]), Tensor::zeros([cfg.n_in(), cfg.d_model - 1])] {
+            let err = sample(&bad, None);
+            assert!(matches!(err, Err(ModelError::ShapeMismatch(_))), "{err:?}");
+        }
+        assert_eq!(sample(&exact.value, None).unwrap(), exact.output);
     }
 
     #[test]

@@ -49,7 +49,8 @@ impl Default for PapConfig {
 /// Builds the point mask from a `[N_in, N_h·N_l·N_p]` probability tensor.
 ///
 /// The mask is linearized as `query · points_per_query + slot`, matching
-/// [`defa_model::reference::LayerMasks::points`].
+/// the `point_mask` argument of
+/// [`defa_model::reference::MsdaLayer::sample_and_aggregate`].
 ///
 /// # Errors
 ///

@@ -5,15 +5,17 @@
 //!
 //! 1. attention probabilities are computed and the **point mask** (PAP) is
 //!    generated;
-//! 2. the masked sampling offsets are produced;
+//! 2. the sampling offsets and locations are produced;
 //! 3. the value projection runs under the **fmap mask** that the *previous*
 //!    block's frequency counters produced (FWP);
 //! 4. MSGS + aggregation run over surviving points only, while the fmap
 //!    mask generator counts frequencies for the *next* block.
 //!
 //! This module reproduces that schedule functionally (bit-accurate masks and
-//! outputs); `defa-core` replays the same schedule on the cycle-level
-//! hardware model.
+//! outputs). It computes every offset and skips pruned points at sampling;
+//! only the hardware model prices the kept share of the offset projection
+//! (`defa-core`'s `dataflow`, which replays the same schedule cycle by
+//! cycle).
 
 use crate::fwp::{FwpConfig, SampleFrequency};
 use crate::pap::{point_mask, retained_mass, PapConfig};
@@ -212,8 +214,9 @@ where
             None => (BitMask::keep_all(n * ppq), 1.0),
         };
 
-        // Stage 2+3: masked offsets, locations (warp + range clamp), masked
-        // value projection. Location generation is per-query parallel and
+        // Stage 2+3: offsets for every point (pruned ones are skipped at
+        // sampling), locations (warp + range clamp), FWP-masked value
+        // projection. Location generation is per-query parallel and
         // bit-identical to the monolithic forward (pinned by the golden
         // geometry test).
         let offsets =
@@ -284,7 +287,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use defa_model::encoder::run_encoder;
+    use defa_model::encoder::{run_encoder, run_encoder_from};
     use defa_model::workload::Benchmark;
 
     fn workload() -> SyntheticWorkload {
@@ -293,12 +296,25 @@ mod tests {
 
     #[test]
     fn disabled_settings_match_exact_encoder() {
+        for cfg in [MsdaConfig::tiny(), MsdaConfig::small()] {
+            let wl = SyntheticWorkload::generate(Benchmark::DeformableDetr, &cfg, 21).unwrap();
+            let exact = run_encoder(&wl).unwrap();
+            let run = run_pruned_encoder(&wl, &PruneSettings::disabled()).unwrap();
+            assert_eq!(run.final_features, exact.final_features);
+            assert_eq!(run.stats.point_reduction(), 0.0);
+        }
         let wl = workload();
-        let exact = run_encoder(&wl).unwrap();
-        let run = run_pruned_encoder(&wl, &PruneSettings::disabled()).unwrap();
-        let err = run.final_features.relative_l2_error(&exact.final_features).unwrap();
-        assert!(err < 1e-6, "err={err}");
-        assert_eq!(run.stats.point_reduction(), 0.0);
+        let gen = defa_model::RequestGenerator::new(
+            vec![defa_model::RequestScenario::from_workload(wl.clone())],
+            11,
+        )
+        .unwrap();
+        for id in 0..3 {
+            let req = gen.request(id);
+            let exact = run_encoder_from(&wl, &req.fmap).unwrap();
+            let run = run_pruned_encoder_from(&wl, &PruneSettings::disabled(), &req.fmap).unwrap();
+            assert_eq!(run.final_features, exact.final_features, "request {id}");
+        }
     }
 
     #[test]
