@@ -6,7 +6,7 @@
 //! used to exist only as prose in ROADMAP.md's design notes: no wall
 //! clock or ambient randomness in the serving stack, no hash-order
 //! iteration on digest paths, audited `unsafe`, no panics in library
-//! code. This crate turns that prose into executable static analysis —
+//! code — plus no public API without a caller. This crate turns that prose into executable static analysis —
 //! the same move PR 5 made for perf claims with the typed `bench_diff`
 //! gate.
 //!

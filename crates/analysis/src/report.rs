@@ -144,8 +144,9 @@ impl AnalysisReport {
     /// The machine-readable document the CI gate consumes. Every field
     /// is an integer or string, so `bench_diff` gates it under the
     /// exact-match tolerance class: a new wall-clock read, ambient-
-    /// randomness call, unordered-iteration site, uncommented `unsafe`
-    /// or library panic shifts a count or the fingerprint and fails CI.
+    /// randomness call, unordered-iteration site, uncommented `unsafe`,
+    /// library panic or uncalled `pub` item shifts a count or the
+    /// fingerprint and fails CI.
     pub fn render_json(&self) -> String {
         let mut s = String::from("{\"bench\":\"lint_static\"");
         s.push_str(&format!(",\"files_scanned\":{}", self.files_scanned));

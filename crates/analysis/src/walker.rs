@@ -38,9 +38,10 @@ pub struct SourceFile {
 }
 
 impl SourceFile {
-    /// Builds a classified in-memory file — the entry point tests and
-    /// negative fixtures use to run rules on synthetic sources.
-    pub fn synthetic(path: &str, text: &str) -> SourceFile {
+    /// Builds a classified in-memory file — how the unit tests run rules
+    /// on synthetic sources.
+    #[cfg(test)]
+    pub(crate) fn synthetic(path: &str, text: &str) -> SourceFile {
         SourceFile { path: path.to_string(), kind: classify(path), text: text.to_string() }
     }
 }

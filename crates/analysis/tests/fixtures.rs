@@ -7,7 +7,7 @@
 use defa_analysis::allowlist::AllowEntry;
 use defa_analysis::report::AnalysisReport;
 use defa_analysis::rules::{run_rules, RULE_IDS};
-use defa_analysis::walker::SourceFile;
+use defa_analysis::walker::{classify, SourceFile};
 
 /// One seeded violation per rule, in a file path inside the rule's scope.
 fn seeded_violation(rule: &str) -> SourceFile {
@@ -29,9 +29,10 @@ fn seeded_violation(rule: &str) -> SourceFile {
         "no-panic-in-library" => {
             ("crates/core/src/runner.rs", "fn f(x: Option<u32>) -> u32 { x.unwrap() }")
         }
+        "no-dead-pub" => ("crates/core/src/runner.rs", "pub fn orphan() -> u32 { 7 }"),
         other => panic!("unknown rule {other}"),
     };
-    SourceFile::synthetic(path, src)
+    SourceFile { path: path.to_string(), kind: classify(path), text: src.to_string() }
 }
 
 #[test]

@@ -34,11 +34,6 @@ impl SramInventory {
             + self.mask_bits
             + self.counter_bits
     }
-
-    /// Total in kilobytes (for reporting).
-    pub fn total_kib(&self) -> f64 {
-        self.total_bits() as f64 / 8192.0
-    }
 }
 
 /// Per-unit area constants in µm².
@@ -154,7 +149,6 @@ mod tests {
             counter_bits: 0,
         };
         assert_eq!(inv.total_bits(), 8192);
-        assert!((inv.total_kib() - 1.0).abs() < 1e-9);
     }
 
     #[test]

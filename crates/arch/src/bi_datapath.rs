@@ -67,18 +67,17 @@ pub fn interpolate(neighbors: [Fixed; 4], t0: Fixed, t1: Fixed) -> BiResult {
     BiResult { value, multiplies: 3, adds: 7 }
 }
 
-/// Convenience wrapper: interpolates `f32` inputs through the fixed-point
-/// datapath and returns the `f32` result.
-pub fn interpolate_f32(neighbors: [f32; 4], t0: f32, t1: f32, value_frac: u8) -> f32 {
-    let n = neighbors.map(|v| Fixed::from_f32(v, value_frac));
-    let t0 = Fixed::from_f32(t0, COEFF_FRAC_BITS);
-    let t1 = Fixed::from_f32(t1, COEFF_FRAC_BITS);
-    interpolate(n, t0, t1).value.to_f32()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Interpolates `f32` inputs through the fixed-point datapath.
+    fn interpolate_f32(neighbors: [f32; 4], t0: f32, t1: f32, value_frac: u8) -> f32 {
+        let n = neighbors.map(|v| Fixed::from_f32(v, value_frac));
+        let t0 = Fixed::from_f32(t0, COEFF_FRAC_BITS);
+        let t1 = Fixed::from_f32(t1, COEFF_FRAC_BITS);
+        interpolate(n, t0, t1).value.to_f32()
+    }
 
     fn reference(n: [f32; 4], t0: f32, t1: f32) -> f32 {
         n[0] * (1.0 - t1) * (1.0 - t0)

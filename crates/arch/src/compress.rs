@@ -13,20 +13,6 @@ pub fn compressed_bits(total: u64, kept: u64, bits_per_entry: u64) -> u64 {
     total + kept * bits_per_entry
 }
 
-/// Bits on the wire without compression.
-pub fn dense_bits(total: u64, bits_per_entry: u64) -> u64 {
-    total * bits_per_entry
-}
-
-/// Fraction of dense bandwidth the compressed stream saves.
-pub fn savings(total: u64, kept: u64, bits_per_entry: u64) -> f64 {
-    let dense = dense_bits(total, bits_per_entry);
-    if dense == 0 {
-        return 0.0;
-    }
-    1.0 - compressed_bits(total, kept, bits_per_entry) as f64 / dense as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -34,24 +20,5 @@ mod tests {
     #[test]
     fn compressed_stream_carries_mask_plus_payload() {
         assert_eq!(compressed_bits(100, 40, 12), 100 + 480);
-        assert_eq!(dense_bits(100, 12), 1200);
-    }
-
-    #[test]
-    fn savings_match_keep_ratio_asymptotically() {
-        // Keeping 40% of wide entries saves ~60% minus mask overhead.
-        let s = savings(1000, 400, 12);
-        assert!(s > 0.50 && s < 0.60, "savings {s}");
-    }
-
-    #[test]
-    fn keeping_everything_costs_the_mask() {
-        let s = savings(100, 100, 12);
-        assert!(s < 0.0); // mask overhead makes it slightly negative
-    }
-
-    #[test]
-    fn zero_entries_save_nothing() {
-        assert_eq!(savings(0, 0, 12), 0.0);
     }
 }

@@ -64,13 +64,6 @@ impl EventCounters {
         self.dram_read_bits + self.dram_write_bits
     }
 
-    /// Arithmetic operations executed (2 per MAC, 4 per BA channel op:
-    /// 3 interpolation multiplies + 1 aggregation MAC counted as in the
-    /// paper's GOPS accounting).
-    pub fn total_ops(&self) -> u64 {
-        2 * self.mm_macs + 4 * self.ba_channel_ops + self.softmax_elems
-    }
-
     /// Wall-clock seconds at a given frequency.
     pub fn seconds_at(&self, hz: u64) -> f64 {
         self.total_cycles() as f64 / hz as f64
@@ -113,7 +106,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(c.total_cycles(), 11);
-        assert_eq!(c.total_ops(), 20 + 20 + 4);
     }
 
     #[test]

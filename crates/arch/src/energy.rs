@@ -94,12 +94,6 @@ impl EnergyBreakdown {
         (self.dram_pj / t, self.sram_pj / t, self.logic_pj() / t)
     }
 
-    /// Memory-access energy only (DRAM + SRAM) — the denominator of the
-    /// Figure 7(b) savings percentages.
-    pub fn memory_pj(&self) -> f64 {
-        self.dram_pj + self.sram_pj
-    }
-
     /// Component energies quantized to integer picojoules, grouped as
     /// `(compute, sram, dram)` where compute = PE + softmax.
     ///
@@ -177,7 +171,6 @@ mod tests {
         let a = EnergyBreakdown { pe_pj: 1.0, softmax_pj: 0.0, sram_pj: 2.0, dram_pj: 3.0 };
         let b = a + a;
         assert_eq!(b.total_pj(), 12.0);
-        assert_eq!(b.memory_pj(), 10.0);
     }
 
     #[test]

@@ -64,15 +64,6 @@ impl PointMaskGenerator {
     }
 }
 
-/// Sanity helper: the pruning machinery's share of a run's SRAM traffic.
-pub fn pruning_sram_share(pruning_bits: u64, total_bits: u64) -> f64 {
-    if total_bits == 0 {
-        0.0
-    } else {
-        pruning_bits as f64 / total_bits as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,11 +89,5 @@ mod tests {
     fn storage_scales_linearly() {
         assert_eq!(FmapMaskGenerator::new().storage_bits(100), 900);
         assert_eq!(PointMaskGenerator::new().storage_bits(100), 100);
-    }
-
-    #[test]
-    fn share_helper_handles_zero_total() {
-        assert_eq!(pruning_sram_share(10, 0), 0.0);
-        assert!((pruning_sram_share(1, 1000) - 0.001).abs() < 1e-12);
     }
 }

@@ -24,17 +24,6 @@ impl PeArray {
         PeArray { lanes: 16, columns: 16 }
     }
 
-    /// Creates a custom-sized array (for scaling studies, §5.4 scales DEFA
-    /// to 13.3 and 40 TOPS to match the GPUs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn with_size(lanes: usize, columns: usize) -> Self {
-        assert!(lanes > 0 && columns > 0, "PE array dimensions must be positive");
-        PeArray { lanes, columns }
-    }
-
     /// MACs the array retires per cycle in MM mode.
     pub fn macs_per_cycle(&self) -> u64 {
         (self.lanes * self.columns) as u64
@@ -123,17 +112,5 @@ mod tests {
         assert_eq!(c.msgs_cycles, 8);
         // head_dim below the beat width still costs one beat.
         assert_eq!(pe.run_ba_group(2, 6, 1, &mut c), 1);
-    }
-
-    #[test]
-    fn custom_size_scales_throughput() {
-        let pe = PeArray::with_size(32, 32);
-        assert_eq!(pe.macs_per_cycle(), 1024);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_size_panics() {
-        let _ = PeArray::with_size(0, 16);
     }
 }

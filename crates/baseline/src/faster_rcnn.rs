@@ -1,34 +1,4 @@
-//! Faster R-CNN reference point (Fig. 6(a) and §1).
+//! Faster R-CNN reference point (Fig. 6(a)).
 
 /// COCO detection AP of Faster R-CNN as quoted in Fig. 6(a).
 pub const FASTER_RCNN_AP: f32 = 42.0;
-
-/// End-to-end workload of Faster R-CNN in GFLOPs (§1).
-pub const FASTER_RCNN_GFLOPS: f64 = 180.0;
-
-/// Frames per second Faster R-CNN reaches on the RTX 3090Ti (§1: "over
-/// 25 fps").
-pub const FASTER_RCNN_FPS_3090TI: f64 = 25.0;
-
-/// End-to-end workload of Deformable DETR in GFLOPs (§1).
-pub const DEFORMABLE_DETR_GFLOPS: f64 = 173.0;
-
-/// Frames per second Deformable DETR reaches on the RTX 3090Ti (§1).
-pub const DEFORMABLE_DETR_FPS_3090TI: f64 = 9.7;
-
-/// The §1 motivation in one number: similar FLOPs, ~2.6× lower fps.
-pub fn throughput_gap() -> f64 {
-    FASTER_RCNN_FPS_3090TI / DEFORMABLE_DETR_FPS_3090TI
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn workloads_are_comparable_but_speeds_are_not() {
-        let flops_ratio = FASTER_RCNN_GFLOPS / DEFORMABLE_DETR_GFLOPS;
-        assert!(flops_ratio > 0.9 && flops_ratio < 1.2);
-        assert!(throughput_gap() > 2.0);
-    }
-}

@@ -93,18 +93,20 @@ impl GpuSpec {
         GpuLatency { other_s, msgs_s }
     }
 
-    /// Energy for a run of `seconds`, in joules.
-    pub fn energy_joules(&self, seconds: f64) -> f64 {
+    /// Energy for a run of `seconds`, in joules: the float model the
+    /// picojoule form is tested against.
+    #[cfg(test)]
+    fn energy_joules(&self, seconds: f64) -> f64 {
         self.tdp_w * self.activity * seconds
     }
 
     /// Energy for a modeled duration of `cost_ns` virtual nanoseconds, in
     /// integer picojoules.
     ///
-    /// This is the serving-side fixed-point form of [`Self::energy_joules`]
-    /// (TDP × activity × time): quantizing once per request lets the
-    /// runtime accumulate totals that are byte-identical regardless of
-    /// summation order. 1 W · 1 ns = 1000 pJ, hence the 1e3 factor.
+    /// This is the serving-side fixed-point form of TDP × activity × time:
+    /// quantizing once per request lets the runtime accumulate totals that
+    /// are byte-identical regardless of summation order. 1 W · 1 ns =
+    /// 1000 pJ, hence the 1e3 factor.
     pub fn energy_picojoules(&self, cost_ns: u64) -> u128 {
         (self.tdp_w * self.activity * 1e3 * cost_ns as f64).round() as u128
     }

@@ -43,11 +43,6 @@ impl Json {
         Json::Str(s.into())
     }
 
-    /// An integer value (anything convertible to `i128`).
-    pub fn int(v: impl Into<i128>) -> Json {
-        Json::Int(v.into())
-    }
-
     /// A u128 value, saturating into `i128` range (serving totals fit).
     pub fn uint(v: u128) -> Json {
         Json::Int(i128::try_from(v).unwrap_or(i128::MAX))
@@ -367,10 +362,10 @@ mod tests {
     fn values_render_canonically() {
         let v = Json::obj([
             ("name", Json::str("serve")),
-            ("n", Json::int(3u32)),
+            ("n", Json::Int(3)),
             ("ok", Json::Bool(true)),
             ("none", Json::Null),
-            ("rows", Json::Arr(vec![Json::int(1u32), Json::num(2.5)])),
+            ("rows", Json::Arr(vec![Json::Int(1), Json::num(2.5)])),
         ]);
         assert_eq!(v.to_string(), r#"{"name":"serve","n":3,"ok":true,"none":null,"rows":[1,2.5]}"#);
     }
@@ -382,7 +377,7 @@ mod tests {
         assert_eq!(Json::num(1.0 / 3.0).to_string(), "0.333333");
         assert_eq!(Json::num(0.0).to_string(), "0");
         assert_eq!(Json::num(f64::NAN).to_string(), "null");
-        assert_eq!(Json::int(7i64).to_string(), "7");
+        assert_eq!(Json::Int(7).to_string(), "7");
         assert_eq!(Json::uint(u128::MAX).to_string(), i128::MAX.to_string());
     }
 
@@ -401,12 +396,12 @@ mod tests {
     fn parse_round_trips_the_writer() {
         let v = Json::obj([
             ("name", Json::str("serve")),
-            ("n", Json::int(3u32)),
+            ("n", Json::Int(3)),
             ("rate", Json::num(0.333333)),
-            ("neg", Json::int(-7i64)),
+            ("neg", Json::Int(-7)),
             ("ok", Json::Bool(true)),
             ("none", Json::Null),
-            ("rows", Json::Arr(vec![Json::int(1u32), Json::num(2.5), Json::str("a\"b\nc")])),
+            ("rows", Json::Arr(vec![Json::Int(1), Json::num(2.5), Json::str("a\"b\nc")])),
             ("empty_arr", Json::Arr(vec![])),
             ("empty_obj", Json::Obj(vec![])),
         ]);

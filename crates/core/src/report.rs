@@ -40,16 +40,6 @@ impl RunReport {
         self.counters.seconds_at(self.clock_hz)
     }
 
-    /// Encoder inferences per second (0 for an empty run).
-    pub fn fps(&self) -> f64 {
-        let s = self.seconds();
-        if s == 0.0 {
-            0.0
-        } else {
-            1.0 / s
-        }
-    }
-
     /// Effective throughput in GOPS (dense-equivalent work / time; 0 for an
     /// empty run).
     pub fn effective_gops(&self) -> f64 {
@@ -153,7 +143,6 @@ mod tests {
     fn derived_metrics_are_consistent() {
         let r = dummy();
         assert!((r.seconds() - 1e-3).abs() < 1e-9);
-        assert!((r.fps() - 1000.0).abs() < 1.0);
         assert!((r.effective_gops() - 1000.0).abs() < 1.0);
         // 10 mJ over 1 ms = 10 W.
         assert!((r.average_power_w() - 10.0).abs() < 1e-6);
@@ -172,7 +161,6 @@ mod tests {
             ..dummy()
         };
         assert_eq!(r.seconds(), 0.0);
-        assert_eq!(r.fps(), 0.0);
         assert_eq!(r.effective_gops(), 0.0);
         assert_eq!(r.average_power_w(), 0.0);
         assert_eq!(r.gops_per_watt(), 0.0);

@@ -58,13 +58,6 @@ impl Footprint {
             n.x >= 0 && n.y >= 0 && (n.x as usize) < shape.w && (n.y as usize) < shape.h
         })
     }
-
-    /// Whether all four neighbors are inside the level.
-    pub fn fully_inside(&self, shape: LevelShape) -> bool {
-        self.neighbors
-            .iter()
-            .all(|n| n.x >= 0 && n.y >= 0 && (n.x as usize) < shape.w && (n.y as usize) < shape.h)
-    }
 }
 
 /// Bilinearly samples a `D`-channel value from a level stored row-major as
@@ -107,17 +100,6 @@ pub fn sample(level_data: &[f32], shape: LevelShape, d: usize, x: f32, y: f32) -
     let mut out = vec![0.0; d];
     sample_accumulate(level_data, shape, d, x, y, 1.0, &mut out);
     out
-}
-
-/// Evaluates the factored bilinear form of Eq. 4:
-/// `S = N0 + (N2 − N0)·t0 + [(N1 − N0) + (N3 − N2 − N1 + N0)·t0]·t1`.
-///
-/// This is the 3-multiplier/7-adder datapath the BI operator implements in
-/// hardware; it must agree exactly (in real arithmetic) with the 4-term
-/// form of Eq. 3, which the tests verify.
-pub fn factored_form(n: [f32; 4], t0: f32, t1: f32) -> f32 {
-    let [n0, n1, n2, n3] = n;
-    n0 + (n2 - n0) * t0 + ((n1 - n0) + (n3 - n2 - n1 + n0) * t0) * t1
 }
 
 #[cfg(test)]
@@ -176,7 +158,6 @@ mod tests {
         let fp = Footprint::at(1.3, 0.6);
         let sum: f32 = fp.neighbors.iter().map(|n| n.weight).sum();
         assert!((sum - 1.0).abs() < 1e-6);
-        assert!(fp.fully_inside(SHAPE));
     }
 
     #[test]
@@ -186,23 +167,6 @@ mod tests {
         assert_eq!((fp.neighbors[1].x, fp.neighbors[1].y), (2, 2));
         assert_eq!((fp.neighbors[2].x, fp.neighbors[2].y), (1, 3));
         assert_eq!((fp.neighbors[3].x, fp.neighbors[3].y), (2, 3));
-    }
-
-    #[test]
-    fn factored_form_matches_four_term_form() {
-        let cases = [
-            ([0.0, 1.0, 10.0, 11.0], 0.5, 0.5),
-            ([3.0, -2.0, 7.5, 0.25], 0.1, 0.9),
-            ([1.0, 1.0, 1.0, 1.0], 0.33, 0.77),
-        ];
-        for (n, t0, t1) in cases {
-            let four_term = n[0] * (1.0 - t1) * (1.0 - t0)
-                + n[1] * t1 * (1.0 - t0)
-                + n[2] * (1.0 - t1) * t0
-                + n[3] * t1 * t0;
-            let fact = factored_form(n, t0, t1);
-            assert!((four_term - fact).abs() < 1e-5, "{n:?} {t0} {t1}");
-        }
     }
 
     #[test]

@@ -173,33 +173,6 @@ impl MsdaConfig {
         }
         Ok(self.levels[..l].iter().map(LevelShape::pixels).sum())
     }
-
-    /// Maps a flat token index to `(level, y, x)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::IndexOutOfRange`] if `token >= n_in()`.
-    pub fn token_coords(&self, token: usize) -> Result<(usize, usize, usize), ModelError> {
-        let mut base = 0;
-        for (l, shape) in self.levels.iter().enumerate() {
-            if token < base + shape.pixels() {
-                let local = token - base;
-                return Ok((l, local / shape.w, local % shape.w));
-            }
-            base += shape.pixels();
-        }
-        Err(ModelError::IndexOutOfRange { what: "token", index: token, len: self.n_in() })
-    }
-
-    /// Ratio of multi-scale pixels to the finest single-scale level.
-    ///
-    /// The paper quotes ~21.3× more pixels for multi-scale fmaps than the
-    /// single-scale fmaps of DeformConv (which uses the stride-32 level);
-    /// this helper reproduces that workload-amplification metric.
-    pub fn multiscale_amplification(&self) -> f64 {
-        let coarsest = self.levels[self.levels.len() - 1].pixels().max(1);
-        self.n_in() as f64 / coarsest as f64
-    }
 }
 
 #[cfg(test)]
@@ -224,17 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn token_coords_round_trip() {
-        let cfg = MsdaConfig::tiny();
-        // token 0 -> level 0 (0,0); token 47 -> level 0 (5,7); token 48 -> level 1 (0,0)
-        assert_eq!(cfg.token_coords(0).unwrap(), (0, 0, 0));
-        assert_eq!(cfg.token_coords(47).unwrap(), (0, 5, 7));
-        assert_eq!(cfg.token_coords(48).unwrap(), (1, 0, 0));
-        assert_eq!(cfg.token_coords(59).unwrap(), (1, 2, 3));
-        assert!(cfg.token_coords(60).is_err());
-    }
-
-    #[test]
     fn validate_rejects_bad_configs() {
         let mut cfg = MsdaConfig::tiny();
         cfg.d_model = 15; // not divisible by 2 heads
@@ -251,14 +213,6 @@ mod tests {
         let mut cfg = MsdaConfig::tiny();
         cfg.n_points = 0;
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn multiscale_amplification_is_large_for_full() {
-        let cfg = MsdaConfig::full();
-        let amp = cfg.multiscale_amplification();
-        // Paper quotes 21.3x for their pyramid; ours lands in the same range.
-        assert!(amp > 15.0 && amp < 100.0, "amp={amp}");
     }
 
     #[test]

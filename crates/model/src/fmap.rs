@@ -18,7 +18,7 @@ use defa_tensor::Tensor;
 /// # fn main() -> Result<(), defa_model::ModelError> {
 /// let cfg = MsdaConfig::tiny();
 /// let pyramid = FmapPyramid::from_tensor(&cfg, Tensor::zeros([cfg.n_in(), cfg.d_model]))?;
-/// assert_eq!(pyramid.pixel(0, 0, 0)?.len(), cfg.d_model);
+/// assert_eq!(pyramid.token(0)?.len(), cfg.d_model);
 /// # Ok(())
 /// # }
 /// ```
@@ -94,34 +94,6 @@ impl FmapPyramid {
         Ok(self.levels[..l].iter().map(LevelShape::pixels).sum())
     }
 
-    /// Flat token index of pixel `(y, x)` in level `l`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::IndexOutOfRange`] if the level or coordinates
-    /// are out of range.
-    pub fn token_index(&self, l: usize, y: usize, x: usize) -> Result<usize, ModelError> {
-        let base = self.level_offset(l)?;
-        let shape = self.levels[l];
-        if y >= shape.h {
-            return Err(ModelError::IndexOutOfRange { what: "row", index: y, len: shape.h });
-        }
-        if x >= shape.w {
-            return Err(ModelError::IndexOutOfRange { what: "col", index: x, len: shape.w });
-        }
-        Ok(base + y * shape.w + x)
-    }
-
-    /// Pixel vector at `(level, y, x)`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FmapPyramid::token_index`].
-    pub fn pixel(&self, l: usize, y: usize, x: usize) -> Result<&[f32], ModelError> {
-        let t = self.token_index(l, y, x)?;
-        Ok(self.data.row(t)?)
-    }
-
     /// Pixel vector by flat token index.
     ///
     /// # Errors
@@ -153,26 +125,12 @@ mod tests {
     }
 
     #[test]
-    fn token_index_matches_config() {
-        let (cfg, p) = make();
-        for token in 0..cfg.n_in() {
-            let (l, y, x) = cfg.token_coords(token).unwrap();
-            assert_eq!(p.token_index(l, y, x).unwrap(), token);
-        }
-    }
-
-    #[test]
-    fn pixel_equals_token_row() {
-        let (_, p) = make();
-        assert_eq!(p.pixel(1, 2, 3).unwrap(), p.token(p.token_index(1, 2, 3).unwrap()).unwrap());
-    }
-
-    #[test]
     fn bounds_are_checked() {
-        let (_, p) = make();
-        assert!(p.pixel(0, 6, 0).is_err());
-        assert!(p.pixel(0, 0, 8).is_err());
-        assert!(p.pixel(2, 0, 0).is_err());
+        let (cfg, p) = make();
+        assert_eq!(p.token(cfg.n_in() - 1).unwrap().len(), cfg.d_model);
+        assert!(p.token(cfg.n_in()).is_err());
+        assert_eq!(p.level_offset(1).unwrap(), cfg.levels[0].pixels());
+        assert!(p.level_offset(2).is_err());
     }
 
     #[test]

@@ -75,13 +75,10 @@ pub fn point_slot(cfg: &MsdaConfig, head: usize, level: usize, point: usize) -> 
     (head * cfg.n_levels() + level) * cfg.n_points + point
 }
 
-/// Builds the sampling locations for one query from its offset row.
-///
-/// `offsets` holds `2·N_h·N_l·N_p` values ordered as
-/// `[slot][dx, dy]` with [`point_slot`] slot ordering; offsets are expressed
-/// in pixels of the target level, as in the official implementation after
-/// multiplying by the offset normalizer.
-pub fn query_sample_points(
+/// Allocating form of [`query_sample_points_into`], the oracle the unit
+/// tests check location generation with.
+#[cfg(test)]
+pub(crate) fn query_sample_points(
     cfg: &MsdaConfig,
     reference: RefPoint,
     offsets: &[f32],
@@ -91,8 +88,14 @@ pub fn query_sample_points(
     out
 }
 
-/// Allocation-free variant of [`query_sample_points`]: writes the query's
-/// `points_per_query` locations into `out` in [`point_slot`] order.
+/// Builds the sampling locations for one query from its offset row,
+/// writing the query's `points_per_query` locations into `out` in
+/// [`point_slot`] order.
+///
+/// `offsets` holds `2·N_h·N_l·N_p` values ordered as
+/// `[slot][dx, dy]` with [`point_slot`] slot ordering; offsets are expressed
+/// in pixels of the target level, as in the official implementation after
+/// multiplying by the offset normalizer.
 ///
 /// The pruned-encoder hot loop fills one big location table per block with
 /// this, one disjoint `out` window per query, which is what makes the

@@ -461,15 +461,6 @@ impl SloClass {
         }
     }
 
-    /// Scheduling priority: lower is more urgent.
-    pub fn priority(&self) -> u8 {
-        match self {
-            SloClass::Interactive => 0,
-            SloClass::Standard => 1,
-            SloClass::Batch => 2,
-        }
-    }
-
     /// The class request `id` draws under generator seed `seed`: a pure
     /// hash, 25 % interactive / 50 % standard / 25 % batch.
     ///
@@ -962,15 +953,14 @@ mod tests {
             let slo = gen.request_slo(id);
             assert_eq!(slo, gen.request(id).slo, "accessor and payload must agree");
             assert_eq!(slo, SloClass::derive(9, id));
-            seen[slo.priority() as usize] += 1;
+            seen[SloClass::all().iter().position(|&c| c == slo).unwrap()] += 1;
         }
         // 25/50/25 mix: every class present, standard the plurality.
         assert!(seen.iter().all(|&c| c > 20), "class mix too skewed: {seen:?}");
         assert!(seen[1] > seen[0] && seen[1] > seen[2], "standard must dominate: {seen:?}");
-        // Budgets are ordered with priority.
+        // Budgets are ordered with urgency.
         let [i, s, b] = SloClass::all();
         assert!(i.deadline_ns() < s.deadline_ns() && s.deadline_ns() < b.deadline_ns());
-        assert!(i.priority() < s.priority() && s.priority() < b.priority());
         assert_eq!(i.to_string(), "interactive");
     }
 

@@ -19,9 +19,9 @@
 //! loops (`par_chunks_mut(..)` ↔ `slice.par_chunks_mut(..).for_each(..)`).
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Mutex;
 use std::thread;
 
 thread_local! {
@@ -261,17 +261,6 @@ where
 /// A job submitted to a [`WorkerPool`].
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Completion bookkeeping shared between a pool and its workers.
-#[derive(Debug)]
-struct PoolShared {
-    /// Jobs submitted but not yet finished.
-    pending: Mutex<usize>,
-    /// Signalled whenever `pending` drops to zero.
-    idle: Condvar,
-    /// Set when any job panicked; surfaced by [`WorkerPool::wait_idle`].
-    panicked: AtomicBool,
-}
-
 /// A small pool of long-lived worker threads with per-worker FIFO queues.
 ///
 /// The scoped helpers above spawn fresh threads on every call, which is
@@ -288,6 +277,12 @@ struct PoolShared {
 /// parallel helpers called from inside a job degrade to sequential loops
 /// exactly like nested scoped calls do — results are unaffected.
 ///
+/// Completion is the caller's business: a job reports through a channel
+/// it owns, and a job that panics drops that channel, which is how the
+/// caller learns of the failure. The worker catches the panic and keeps
+/// serving its queue. Dropping the pool drains every queue and joins the
+/// workers.
+///
 /// # Example
 ///
 /// ```
@@ -300,7 +295,7 @@ struct PoolShared {
 ///     let tx = tx.clone();
 ///     pool.submit(i as usize, move || tx.send((i, i * i)).unwrap());
 /// }
-/// pool.wait_idle();
+/// drop(pool); // drains the queues and joins the workers
 /// let mut out: Vec<_> = rx.try_iter().collect();
 /// out.sort_unstable();
 /// assert_eq!(out, vec![(0, 0), (1, 1), (2, 4), (3, 9)]);
@@ -309,45 +304,28 @@ struct PoolShared {
 pub struct WorkerPool {
     senders: Vec<mpsc::Sender<Job>>,
     handles: Vec<thread::JoinHandle<()>>,
-    shared: Arc<PoolShared>,
 }
 
 impl WorkerPool {
     /// Spawns a pool of `threads.max(1)` workers.
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
-        let shared = Arc::new(PoolShared {
-            pending: Mutex::new(0),
-            idle: Condvar::new(),
-            panicked: AtomicBool::new(false),
-        });
         let mut senders = Vec::with_capacity(threads);
         let mut handles = Vec::with_capacity(threads);
         for _ in 0..threads {
             let (tx, rx) = mpsc::channel::<Job>();
-            let shared = Arc::clone(&shared);
             handles.push(thread::spawn(move || {
                 while let Ok(job) = rx.recv() {
-                    let outcome =
+                    // A panicking job drops its result channel, which is
+                    // how its caller learns of the failure; the worker
+                    // itself keeps serving its queue.
+                    let _ =
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| as_worker(job)));
-                    if outcome.is_err() {
-                        shared.panicked.store(true, Ordering::SeqCst);
-                    }
-                    let mut pending = shared.pending.lock().unwrap_or_else(|p| p.into_inner());
-                    *pending -= 1;
-                    if *pending == 0 {
-                        shared.idle.notify_all();
-                    }
                 }
             }));
             senders.push(tx);
         }
-        WorkerPool { senders, handles, shared }
-    }
-
-    /// A pool sized like the scoped helpers ([`current_num_threads`]).
-    pub fn with_default_threads() -> Self {
-        Self::new(current_num_threads())
+        WorkerPool { senders, handles }
     }
 
     /// Number of worker threads.
@@ -361,29 +339,10 @@ impl WorkerPool {
     /// concurrently. The job must own its data (`'static`) — move results
     /// out through a channel or shared slot keyed by caller-chosen index.
     pub fn submit(&self, worker: usize, job: impl FnOnce() + Send + 'static) {
-        {
-            let mut pending = self.shared.pending.lock().unwrap_or_else(|p| p.into_inner());
-            *pending += 1;
-        }
         let slot = worker % self.senders.len();
         // Workers only exit when the senders drop (in Drop), so the
         // receiver is alive for the whole pool lifetime.
         self.senders[slot].send(Box::new(job)).expect("pool worker alive");
-    }
-
-    /// Blocks until every submitted job has finished.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any job panicked since the pool was created, so failures
-    /// in detached jobs cannot be silently swallowed.
-    pub fn wait_idle(&self) {
-        let mut pending = self.shared.pending.lock().unwrap_or_else(|p| p.into_inner());
-        while *pending > 0 {
-            pending = self.shared.idle.wait(pending).unwrap_or_else(|p| p.into_inner());
-        }
-        drop(pending);
-        assert!(!self.shared.panicked.load(Ordering::SeqCst), "a WorkerPool job panicked");
     }
 }
 
@@ -402,6 +361,7 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn partitions_cover_range_in_order() {
@@ -512,7 +472,7 @@ mod tests {
                 results.lock().unwrap()[i] = i + 1;
             });
         }
-        pool.wait_idle();
+        drop(pool);
         let r = results.lock().unwrap();
         for (i, &v) in r.iter().enumerate() {
             assert_eq!(v, i + 1);
@@ -528,7 +488,7 @@ mod tests {
             // All on worker 0: must observe submission order.
             pool.submit(0, move || order.lock().unwrap().push(i));
         }
-        pool.wait_idle();
+        drop(pool);
         assert_eq!(*order.lock().unwrap(), (0..50).collect::<Vec<_>>());
     }
 
@@ -540,16 +500,22 @@ mod tests {
             // Nested helpers inside a pool job degrade to sequential.
             tx.send(current_num_threads()).unwrap();
         });
-        pool.wait_idle();
+        drop(pool);
         assert_eq!(rx.recv().unwrap(), 1);
     }
 
     #[test]
-    #[should_panic(expected = "a WorkerPool job panicked")]
-    fn pool_surfaces_job_panics() {
+    fn a_panicking_job_drops_its_channel_and_the_worker_survives() {
         let pool = WorkerPool::new(1);
-        pool.submit(0, || panic!("boom"));
-        pool.wait_idle();
+        let (tx, rx) = mpsc::channel::<u32>();
+        pool.submit(0, move || {
+            let _owned = tx;
+            panic!("boom");
+        });
+        assert!(rx.recv().is_err(), "the panicking job's sender must drop");
+        let (tx, rx) = mpsc::channel();
+        pool.submit(0, move || tx.send(2).unwrap());
+        assert_eq!(rx.recv().unwrap(), 2);
     }
 
     #[test]
@@ -558,7 +524,7 @@ mod tests {
         assert_eq!(pool.threads(), 1);
         let (tx, rx) = mpsc::channel();
         pool.submit(7, move || tx.send(1).unwrap());
-        pool.wait_idle();
+        drop(pool);
         assert_eq!(rx.recv().unwrap(), 1);
     }
 

@@ -32,7 +32,6 @@
 //! # }
 //! ```
 
-pub mod codec;
 pub mod error;
 pub mod fwp;
 pub mod histogram;

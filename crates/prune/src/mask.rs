@@ -1,16 +1,12 @@
-//! Bit masks and their compressed-storage accounting.
+//! Bit masks.
 //!
 //! Both FWP and PAP record pruning decisions as bit masks (one bit per fmap
-//! pixel / sampling point). The hardware ships masks through the
-//! compression/decompression units, so the mask type also accounts for the
-//! bits a mask costs on chip.
-
-use crate::PruneError;
+//! pixel / sampling point). What shipping a mask through the hardware's
+//! compression units costs is priced by `defa_arch::compress`.
 
 /// A keep/drop bit mask over a linear index space.
 ///
-/// `true` means *keep*. The mask knows its own storage cost: one bit per
-/// entry, which is what the DEFA mask generators emit.
+/// `true` means *keep*, one entry per bit the DEFA mask generators emit.
 ///
 /// # Example
 ///
@@ -30,11 +26,6 @@ impl BitMask {
     /// An all-keep mask of length `n`.
     pub fn keep_all(n: usize) -> Self {
         BitMask { bits: vec![true; n] }
-    }
-
-    /// An all-drop mask of length `n`.
-    pub fn drop_all(n: usize) -> Self {
-        BitMask { bits: vec![false; n] }
     }
 
     /// Wraps an explicit keep vector.
@@ -85,52 +76,6 @@ impl BitMask {
     pub fn drop_fraction(&self) -> f64 {
         1.0 - self.keep_fraction()
     }
-
-    /// Whether entry `i` is kept.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PruneError::ShapeMismatch`] if `i` is out of range.
-    pub fn is_kept(&self, i: usize) -> Result<bool, PruneError> {
-        self.bits.get(i).copied().ok_or_else(|| {
-            PruneError::ShapeMismatch(format!("mask index {i} out of {}", self.len()))
-        })
-    }
-
-    /// Intersection with another mask (`keep = both keep`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PruneError::ShapeMismatch`] if lengths differ.
-    pub fn and(&self, other: &BitMask) -> Result<BitMask, PruneError> {
-        if self.len() != other.len() {
-            return Err(PruneError::ShapeMismatch(format!(
-                "mask lengths differ: {} vs {}",
-                self.len(),
-                other.len()
-            )));
-        }
-        Ok(BitMask { bits: self.bits.iter().zip(&other.bits).map(|(&a, &b)| a && b).collect() })
-    }
-
-    /// Storage cost of the bit mask itself, in bits.
-    pub fn mask_storage_bits(&self) -> u64 {
-        self.bits.len() as u64
-    }
-
-    /// Payload bits after compression: only kept entries are stored.
-    ///
-    /// `bits_per_entry` is the width of one masked datum (e.g. 12 for an
-    /// INT12 pixel channel). The compression unit ships
-    /// `mask + surviving payload`.
-    pub fn compressed_payload_bits(&self, bits_per_entry: u64) -> u64 {
-        self.mask_storage_bits() + self.kept() as u64 * bits_per_entry
-    }
-
-    /// Iterator over kept indices.
-    pub fn iter_kept(&self) -> impl Iterator<Item = usize> + '_ {
-        self.bits.iter().enumerate().filter(|(_, &b)| b).map(|(i, _)| i)
-    }
 }
 
 impl FromIterator<bool> for BitMask {
@@ -159,38 +104,10 @@ mod tests {
     }
 
     #[test]
-    fn and_intersects() {
-        let a = BitMask::from_bools(vec![true, true, false]);
-        let b = BitMask::from_bools(vec![true, false, false]);
-        assert_eq!(a.and(&b).unwrap().as_bools(), &[true, false, false]);
-        assert!(a.and(&BitMask::keep_all(2)).is_err());
-    }
-
-    #[test]
-    fn compressed_payload_accounting() {
-        let m = BitMask::from_bools(vec![true, false, true, false]);
-        // 4 mask bits + 2 kept entries x 12 bits.
-        assert_eq!(m.compressed_payload_bits(12), 4 + 24);
-    }
-
-    #[test]
-    fn iter_kept_yields_indices() {
-        let m = BitMask::from_bools(vec![false, true, false, true]);
-        assert_eq!(m.iter_kept().collect::<Vec<_>>(), vec![1, 3]);
-    }
-
-    #[test]
     fn empty_mask_keep_fraction_is_one() {
         let m = BitMask::keep_all(0);
         assert_eq!(m.keep_fraction(), 1.0);
         assert!(m.is_empty());
-    }
-
-    #[test]
-    fn is_kept_bounds_checked() {
-        let m = BitMask::keep_all(2);
-        assert!(m.is_kept(1).unwrap());
-        assert!(m.is_kept(2).is_err());
     }
 
     #[test]

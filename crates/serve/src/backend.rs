@@ -272,11 +272,6 @@ impl DenseBackend {
     pub fn new() -> Self {
         DenseBackend { gpu: GpuSpec::rtx_3090ti() }
     }
-
-    /// Dense serving on an explicit device model.
-    pub fn on_gpu(gpu: GpuSpec) -> Self {
-        DenseBackend { gpu }
-    }
 }
 
 impl Default for DenseBackend {

@@ -346,6 +346,11 @@ mod tests {
     #[test]
     fn degenerate_scalars_name_their_field() {
         let base = ServeConfig::at_load(1_000.0, 8);
+        let tracing_at = |trace_sample| crate::obs::ObsConfig {
+            tracing: true,
+            trace_sample,
+            ..crate::obs::ObsConfig::default()
+        };
         for (cfg, field) in [
             (ServeConfig { offered_load: 0.0, ..base.clone() }, "offered_load"),
             (ServeConfig { offered_load: -3.0, ..base.clone() }, "offered_load"),
@@ -408,23 +413,15 @@ mod tests {
                 },
                 "control.epoch_us",
             ),
-            (
-                ServeConfig { obs: crate::obs::ObsConfig::tracing_at(1.5), ..base.clone() },
-                "obs.trace_sample",
-            ),
-            (
-                ServeConfig { obs: crate::obs::ObsConfig::tracing_at(-0.1), ..base.clone() },
-                "obs.trace_sample",
-            ),
-            (
-                ServeConfig { obs: crate::obs::ObsConfig::tracing_at(f64::NAN), ..base.clone() },
-                "obs.trace_sample",
-            ),
+            (ServeConfig { obs: tracing_at(1.5), ..base.clone() }, "obs.trace_sample"),
+            (ServeConfig { obs: tracing_at(-0.1), ..base.clone() }, "obs.trace_sample"),
+            (ServeConfig { obs: tracing_at(f64::NAN), ..base.clone() }, "obs.trace_sample"),
             (
                 ServeConfig {
                     obs: crate::obs::ObsConfig {
                         trace_buffer: 0,
-                        ..crate::obs::ObsConfig::tracing_at(1.0)
+                        tracing: true,
+                        ..crate::obs::ObsConfig::default()
                     },
                     ..base.clone()
                 },
@@ -434,7 +431,8 @@ mod tests {
                 ServeConfig {
                     obs: crate::obs::ObsConfig {
                         metrics_buffer: 0,
-                        ..crate::obs::ObsConfig::disabled().with_metrics()
+                        metrics: true,
+                        ..crate::obs::ObsConfig::default()
                     },
                     ..base.clone()
                 },

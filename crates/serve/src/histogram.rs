@@ -73,25 +73,9 @@ impl LatencyHistogram {
         self.max_ns = self.max_ns.max(ns);
     }
 
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
-        self.min_ns = self.min_ns.min(other.min_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
-
     /// Number of recorded observations.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Raw bucket counts (fixed layout; see the type docs).
-    pub fn bucket_counts(&self) -> &[u64; N_BUCKETS] {
-        &self.buckets
     }
 
     /// Mean latency in nanoseconds (0 when empty).
@@ -235,24 +219,6 @@ mod tests {
         assert_eq!(h.mean_ns(), 0);
         assert_eq!(h.max_ns(), 0);
         assert_eq!(h.min_ns(), 0);
-    }
-
-    #[test]
-    fn merge_equals_joint_recording() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut joint = LatencyHistogram::new();
-        for i in 0..100u64 {
-            let ns = (i + 1) * 7_777;
-            if i % 2 == 0 {
-                a.record(ns);
-            } else {
-                b.record(ns);
-            }
-            joint.record(ns);
-        }
-        a.merge(&b);
-        assert_eq!(a, joint);
     }
 
     #[test]

@@ -27,18 +27,10 @@
 use defa_tensor::rng::TensorRng;
 
 /// A Poisson arrival trace: exponential inter-arrival gaps at a fixed
-/// offered rate.
-///
-/// # Example
-///
-/// ```
-/// use defa_serve::loadgen::arrival_times;
-///
-/// let t = arrival_times(100, 1000.0, 7);
-/// assert_eq!(t.len(), 100);
-/// assert!(t.windows(2).all(|w| w[0] <= w[1]), "arrivals sorted");
-/// ```
-pub fn arrival_times(n: usize, rate_per_s: f64, seed: u64) -> Vec<u64> {
+/// offered rate — the legacy sampler [`ArrivalProcess::Poisson`] is
+/// tested against.
+#[cfg(test)]
+fn arrival_times(n: usize, rate_per_s: f64, seed: u64) -> Vec<u64> {
     assert!(rate_per_s > 0.0, "offered load must be positive");
     let mut rng = TensorRng::seed_from(seed);
     let mut t = 0u64;
@@ -167,11 +159,6 @@ impl TraceSchedule {
         TraceSchedule::new("random-walk", segments)
     }
 
-    /// Total virtual duration of one cycle in nanoseconds.
-    pub fn cycle_ns(&self) -> u64 {
-        self.segments.iter().map(|s| s.duration_us.saturating_mul(1_000)).sum()
-    }
-
     /// Whether the schedule can ever produce an arrival: at least one
     /// segment with positive duration *and* positive rate (what
     /// `ServeConfig::validate` rejects otherwise — a schedule that can't
@@ -253,8 +240,8 @@ impl ArrivalProcess {
     /// [`ArrivalProcess::Trace`], the *base* rate the segments multiply).
     ///
     /// Pure in `(n, rate_per_s, seed)`; the Poisson variant reproduces
-    /// [`arrival_times`] bit-for-bit, which is what keeps pre-policy
-    /// serving traces byte-identical. Since the discrete-event rewrite
+    /// the legacy `arrival_times` sampler bit-for-bit, which is what
+    /// keeps pre-policy serving traces byte-identical. Since the discrete-event rewrite
     /// this is literally `stream(…).take(n).collect()` — the lazy
     /// iterator is the single source of truth, and
     /// `tests/tests/engine_equivalence.rs` pins the streams that the

@@ -109,20 +109,10 @@ impl ObsConfig {
         ObsConfig::default()
     }
 
-    /// Span tracing at the given sample rate, other pillars off.
-    pub fn tracing_at(trace_sample: f64) -> Self {
-        ObsConfig { tracing: true, trace_sample, ..ObsConfig::default() }
-    }
-
     /// Full deterministic observability: tracing at 1.0 plus the metrics
     /// registry. Profiling stays off — it is wall-clock and opt-in.
     pub fn full() -> Self {
         ObsConfig { tracing: true, metrics: true, ..ObsConfig::default() }
-    }
-
-    /// This configuration with the metrics registry on.
-    pub fn with_metrics(self) -> Self {
-        ObsConfig { metrics: true, ..self }
     }
 
     /// This configuration with wall-clock self-profiling on.
@@ -543,7 +533,7 @@ mod tests {
         let cfg = ObsConfig::default();
         assert!(!cfg.enabled());
         assert_eq!(cfg, ObsConfig::disabled());
-        assert!(ObsConfig::tracing_at(0.5).enabled());
+        assert!(ObsConfig { tracing: true, ..ObsConfig::default() }.enabled());
         assert!(ObsConfig::full().tracing && ObsConfig::full().metrics);
         assert!(!ObsConfig::full().profile, "profiling is wall clock and stays opt-in");
         assert!(ObsConfig::disabled().with_profile().enabled());
@@ -578,7 +568,7 @@ mod tests {
 
     #[test]
     fn session_counters_register_only_for_the_session_engine() {
-        let cfg = ObsConfig::disabled().with_metrics();
+        let cfg = ObsConfig { metrics: true, ..ObsConfig::default() };
         let mut legacy = Obs::new(&cfg, 42, 1, false);
         legacy.on_iteration();
         legacy.on_evicted(10, 0);
@@ -596,7 +586,7 @@ mod tests {
 
     #[test]
     fn collector_counts_sampled_arrivals_exactly() {
-        let cfg = ObsConfig::tracing_at(0.5);
+        let cfg = ObsConfig { tracing: true, trace_sample: 0.5, ..ObsConfig::default() };
         let mut obs = Obs::new(&cfg, 42, 1, false);
         let sampler = SpanSampler::new(42, 0.5);
         let n = 256u64;

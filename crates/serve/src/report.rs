@@ -50,19 +50,7 @@ pub enum RequestOutcome {
     },
 }
 
-impl RequestOutcome {
-    /// Whether a completed request blew its SLO budget (total latency
-    /// above the class deadline). Drops never count here — they are
-    /// accounted separately.
-    pub fn violated_slo(&self) -> bool {
-        match self {
-            RequestOutcome::Completed { slo, queue_ns, compute_ns, .. } => {
-                queue_ns + compute_ns > slo.deadline_ns()
-            }
-            RequestOutcome::Dropped { .. } => false,
-        }
-    }
-}
+impl RequestOutcome {}
 
 /// Peak live-state accounting of the event loop — exact integers, so
 /// the "memory is bounded by in-flight work, not trace length" contract

@@ -504,8 +504,9 @@ impl SimState {
             let compute_ns = t - inf.start_ns;
             self.queue.record(queue_ns);
             self.compute.record(compute_ns);
-            // Exactly `RequestOutcome::violated_slo`, without building the
-            // outcome record (only the debug capture materializes one).
+            // An SLO miss is total latency above the class deadline,
+            // judged without building the outcome record (only the
+            // debug capture materializes one).
             let violated = queue_ns + compute_ns > m.slo.deadline_ns();
             self.complete(shard, inf.batch, t, &Tally::new(m, queue_ns, &out, violated));
             self.obs.on_settle(

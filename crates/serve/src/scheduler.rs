@@ -140,13 +140,18 @@ impl Scheduler for EdfScheduler {
 /// truncate to the batch. They are `O(n log n)` per call and exist so
 /// the property tests (and anyone auditing the heap code) have an
 /// independently-simple statement of the required service order.
-pub mod reference {
+#[cfg(test)]
+mod reference {
     use super::QueuedRequest;
 
     /// SJF-with-aging order: sorts by `(fresh, cost-if-fresh-else-0,
     /// arrival_ns, id)` where `fresh = deadline_ns > now_ns`, takes the
     /// first `max_batch`.
-    pub fn sjf(items: &[QueuedRequest], max_batch: usize, now_ns: u64) -> Vec<QueuedRequest> {
+    pub(super) fn sjf(
+        items: &[QueuedRequest],
+        max_batch: usize,
+        now_ns: u64,
+    ) -> Vec<QueuedRequest> {
         let mut order: Vec<&QueuedRequest> = items.iter().collect();
         order.sort_by_key(|r| {
             let fresh = r.deadline_ns > now_ns; // overdue (false) sorts first…
@@ -159,7 +164,7 @@ pub mod reference {
 
     /// EDF order: sorts by `(deadline_ns, arrival_ns, id)`, takes the
     /// first `max_batch`.
-    pub fn edf(items: &[QueuedRequest], max_batch: usize) -> Vec<QueuedRequest> {
+    pub(super) fn edf(items: &[QueuedRequest], max_batch: usize) -> Vec<QueuedRequest> {
         let mut order: Vec<&QueuedRequest> = items.iter().collect();
         order.sort_by_key(|r| (r.deadline_ns, r.arrival_ns, r.id));
         order.truncate(items.len().min(max_batch));

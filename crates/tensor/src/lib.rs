@@ -23,15 +23,15 @@
 //! # Example
 //!
 //! ```
-//! use defa_tensor::{Tensor, matmul::matmul, softmax::softmax_rows};
+//! use defa_tensor::{Tensor, matmul::matmul, softmax::softmax};
 //!
 //! # fn main() -> Result<(), defa_tensor::TensorError> {
 //! let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2])?;
-//! let b = Tensor::eye(2);
+//! let b = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], [2, 2])?;
 //! let c = matmul(&a, &b)?;
 //! assert_eq!(c.as_slice(), a.as_slice());
-//! let p = softmax_rows(&c)?;
-//! assert!((p.row(0)?.iter().sum::<f32>() - 1.0).abs() < 1e-6);
+//! let p = softmax(c.row(0)?);
+//! assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-6);
 //! # Ok(())
 //! # }
 //! ```

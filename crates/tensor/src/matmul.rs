@@ -466,22 +466,6 @@ pub fn matmul_row_masked(a: &Tensor, b: &Tensor, row_mask: &[bool]) -> Result<Te
     Ok(out)
 }
 
-/// [`matmul_row_masked`] with caller-provided output and scratch — zero
-/// allocations in steady state.
-///
-/// # Errors
-///
-/// Same conditions as [`matmul_row_masked`].
-pub fn matmul_row_masked_into(
-    a: &Tensor,
-    b: &Tensor,
-    row_mask: &[bool],
-    out: &mut Tensor,
-    scratch: &mut Scratch,
-) -> Result<(), TensorError> {
-    matmul_row_masked_scratch(a, b, row_mask, out, scratch)
-}
-
 fn matmul_row_masked_scratch(
     a: &Tensor,
     b: &Tensor,
@@ -569,7 +553,8 @@ mod tests {
     fn identity_is_neutral() {
         let mut rng = TensorRng::seed_from(3);
         let a = rng.uniform([4, 4], -2.0, 2.0);
-        let c = matmul(&a, &Tensor::eye(4)).unwrap();
+        let eye: Vec<f32> = (0..16).map(|i| if i % 5 == 0 { 1.0 } else { 0.0 }).collect();
+        let c = matmul(&a, &Tensor::from_vec(eye, [4, 4]).unwrap()).unwrap();
         assert!(c.relative_l2_error(&a).unwrap() < 1e-7);
     }
 
@@ -629,7 +614,7 @@ mod tests {
         let mut out = Tensor::full([8, 6], 7.0);
         let mut scratch = Scratch::new();
         let mask = vec![false; 8];
-        matmul_row_masked_into(&a, &b, &mask, &mut out, &mut scratch).unwrap();
+        matmul_row_masked_scratch(&a, &b, &mask, &mut out, &mut scratch).unwrap();
         assert_eq!(out.max_abs(), 0.0);
     }
 

@@ -54,20 +54,6 @@ pub fn matmul_q(a: &QTensor, b: &QTensor) -> Result<(Tensor, Vec<i64>), TensorEr
     Ok((Tensor::from_vec(data, [m, n])?, acc))
 }
 
-/// Maximum possible accumulator magnitude of a `k`-deep INT-`bits` dot
-/// product — used to size the hardware accumulator register.
-pub fn accumulator_bound(k: usize, bits: u8) -> i64 {
-    let qmax = (1i64 << (bits - 1)) - 1;
-    let qmin = 1i64 << (bits - 1);
-    k as i64 * qmin * qmax.max(qmin)
-}
-
-/// Bits needed for a signed accumulator holding `accumulator_bound`.
-pub fn accumulator_bits(k: usize, bits: u8) -> u32 {
-    let bound = accumulator_bound(k, bits).unsigned_abs();
-    64 - bound.leading_zeros() + 1
-}
-
 /// Quantizes both operands with fitted symmetric scales and multiplies in
 /// the integer domain.
 ///
@@ -117,17 +103,6 @@ mod tests {
         let (out, acc) = matmul_q(&qa, &qa).unwrap();
         assert_eq!(acc, vec![7, 10, 15, 22]);
         assert_eq!(out.as_slice(), &[7.0, 10.0, 15.0, 22.0]);
-    }
-
-    #[test]
-    fn accumulator_sizing_matches_depth() {
-        // 256-deep INT12: |acc| <= 256 * 2048 * 2047 < 2^31.
-        assert!(accumulator_bound(256, 12) < (1i64 << 31));
-        assert!(accumulator_bits(256, 12) <= 32);
-        // One-deep INT12 product needs 24 bits.
-        assert!(accumulator_bits(1, 12) <= 24);
-        // Deeper accumulations need more bits.
-        assert!(accumulator_bits(4096, 12) > accumulator_bits(16, 12));
     }
 
     #[test]

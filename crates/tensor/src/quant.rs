@@ -18,7 +18,8 @@ use crate::{Tensor, TensorError};
 /// let t = Tensor::from_vec(vec![-1.0, 0.5, 1.0], [3])?;
 /// let params = QuantParams::fit(&t, 12)?;
 /// let q = params.quantize(&t);
-/// let back = params.dequantize(&q);
+/// assert_eq!(q.codes()[2], 2047); // the extreme maps to qmax
+/// let back = params.fake_quantize(&t);
 /// assert!(back.relative_l2_error(&t)? < 1e-3);
 /// # Ok(())
 /// # }
@@ -101,12 +102,6 @@ impl QuantParams {
         QTensor { params: *self, shape: t.shape().clone(), codes }
     }
 
-    /// Dequantizes a [`QTensor`] produced by this (or an equal) quantizer.
-    pub fn dequantize(&self, q: &QTensor) -> Tensor {
-        let data = q.codes.iter().map(|&c| self.dequantize_value(c)).collect();
-        Tensor::from_vec(data, q.shape.clone()).expect("codes length matches shape by construction")
-    }
-
     /// Quantize–dequantize round trip ("fake quantization"), used by the
     /// functional model to emulate INT-N inference in `f32` arithmetic.
     pub fn fake_quantize(&self, t: &Tensor) -> Tensor {
@@ -138,11 +133,6 @@ impl QTensor {
     /// The raw integer codes.
     pub fn codes(&self) -> &[i32] {
         &self.codes
-    }
-
-    /// Converts back to `f32` using the stored parameters.
-    pub fn to_tensor(&self) -> Tensor {
-        self.params.dequantize(self)
     }
 
     /// Storage footprint in bits (codes only, ignoring metadata).
@@ -220,15 +210,5 @@ mod tests {
         let t = Tensor::zeros([10]);
         let q = QuantParams::fit(&t, 12).unwrap().quantize(&t);
         assert_eq!(q.storage_bits(), 120);
-    }
-
-    #[test]
-    fn qtensor_to_tensor_round_trips() {
-        let t = Tensor::from_vec(vec![0.5, -0.25], [2]).unwrap();
-        let p = QuantParams::fit(&t, 12).unwrap();
-        let q = p.quantize(&t);
-        assert_eq!(q.shape().dims(), &[2]);
-        let back = q.to_tensor();
-        assert!(back.relative_l2_error(&t).unwrap() < 1e-3);
     }
 }

@@ -59,11 +59,6 @@ impl Xoshiro256pp {
     fn next_f32(&mut self) -> f32 {
         ((self.next_u64() >> 40) as f32) * (1.0 / (1u32 << 24) as f32)
     }
-
-    /// Uniform `f64` in `[0, 1)` from the top 53 bits.
-    fn next_f64(&mut self) -> f64 {
-        ((self.next_u64() >> 11) as f64) * (1.0 / (1u64 << 53) as f64)
-    }
 }
 
 /// Seeded random generator producing tensors and common scalar draws.
@@ -130,38 +125,6 @@ impl TensorRng {
         let data = (0..shape.volume()).map(|_| mean + std * self.normal_value()).collect();
         Tensor::from_vec(data, shape).expect("volume matches by construction")
     }
-
-    /// Draws from a Zipf-like popularity distribution over `n` items with
-    /// exponent `s > 0`: item `k` has weight `(k+1)^-s`.
-    ///
-    /// The paper observes that "a small proportion of pixels has a much
-    /// higher probability of being accessed" (§3.1); sampling targets drawn
-    /// from this distribution reproduce that skew.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `s <= 0`.
-    pub fn zipf_index(&mut self, n: usize, s: f32) -> usize {
-        assert!(n > 0, "zipf over empty support");
-        assert!(s > 0.0, "zipf exponent must be positive");
-        // Inverse-CDF on the normalized weights. n is at most a few
-        // thousand per fmap level, so a linear scan is fine.
-        let total: f64 = (1..=n).map(|k| (k as f64).powf(-s as f64)).sum();
-        let mut u = self.rng.next_f64() * total;
-        for k in 0..n {
-            let w = ((k + 1) as f64).powf(-s as f64);
-            if u < w {
-                return k;
-            }
-            u -= w;
-        }
-        n - 1
-    }
-
-    /// Bernoulli draw with probability `p`.
-    pub fn chance(&mut self, p: f32) -> bool {
-        self.rng.next_f32() < p
-    }
 }
 
 #[cfg(test)]
@@ -198,33 +161,6 @@ mod tests {
             t.as_slice().iter().map(|&x| (x - mean) * (x - mean)).sum::<f32>() / 10_000.0;
         assert!((mean - 1.0).abs() < 0.1, "mean={mean}");
         assert!((var - 4.0).abs() < 0.3, "var={var}");
-    }
-
-    #[test]
-    fn zipf_is_head_heavy() {
-        let mut rng = TensorRng::seed_from(11);
-        let mut counts = [0usize; 100];
-        for _ in 0..20_000 {
-            counts[rng.zipf_index(100, 1.0)] += 1;
-        }
-        let head: usize = counts[..10].iter().sum();
-        let tail: usize = counts[90..].iter().sum();
-        assert!(head > tail * 5, "head={head} tail={tail}");
-    }
-
-    #[test]
-    fn zipf_stays_in_range() {
-        let mut rng = TensorRng::seed_from(13);
-        for _ in 0..1000 {
-            assert!(rng.zipf_index(7, 1.2) < 7);
-        }
-    }
-
-    #[test]
-    fn chance_extremes() {
-        let mut rng = TensorRng::seed_from(17);
-        assert!(!rng.chance(0.0));
-        assert!(rng.chance(1.0));
     }
 
     #[test]

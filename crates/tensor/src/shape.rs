@@ -49,15 +49,6 @@ impl Shape {
         &self.dims
     }
 
-    /// Length of axis `axis`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidAxis`] if `axis >= rank`.
-    pub fn dim(&self, axis: usize) -> Result<usize, TensorError> {
-        self.dims.get(axis).copied().ok_or(TensorError::InvalidAxis { axis, rank: self.rank() })
-    }
-
     /// Total number of elements.
     pub fn volume(&self) -> usize {
         self.dims.iter().product()
@@ -164,13 +155,6 @@ mod tests {
     fn offset_rejects_rank_mismatch() {
         let s = Shape::from([2, 3]);
         assert!(matches!(s.offset(&[1]), Err(TensorError::ShapeMismatch { .. })));
-    }
-
-    #[test]
-    fn dim_accessor_validates_axis() {
-        let s = Shape::from([5, 6]);
-        assert_eq!(s.dim(1).unwrap(), 6);
-        assert!(matches!(s.dim(2), Err(TensorError::InvalidAxis { axis: 2, rank: 2 })));
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Numerically stable softmax.
 
-use crate::{Tensor, TensorError};
-
 /// Softmax over a single slice, in place.
 ///
 /// Uses the max-subtraction trick for numerical stability. An empty slice is
@@ -30,36 +28,15 @@ pub fn softmax(row: &[f32]) -> Vec<f32> {
     out
 }
 
-/// Row-wise softmax of a rank-2 tensor.
-///
-/// Each row is normalized independently, matching the per-query
-/// normalization of the `N_l·N_p` attention logits in MSDeformAttn.
-///
-/// # Errors
-///
-/// Returns [`TensorError::InvalidAxis`] for tensors that are not rank 2.
-pub fn softmax_rows(t: &Tensor) -> Result<Tensor, TensorError> {
-    if t.shape().rank() != 2 {
-        return Err(TensorError::InvalidAxis { axis: 1, rank: t.shape().rank() });
-    }
-    let mut out = t.clone();
-    let rows = out.shape().dims()[0];
-    for r in 0..rows {
-        softmax_inplace(out.row_mut(r)?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn rows_sum_to_one() {
-        let t = Tensor::from_fn_2d(3, 5, |r, c| (r as f32) - (c as f32) * 0.3);
-        let p = softmax_rows(&t).unwrap();
         for r in 0..3 {
-            let s: f32 = p.row(r).unwrap().iter().sum();
+            let row: Vec<f32> = (0..5).map(|c| r as f32 - c as f32 * 0.3).collect();
+            let s: f32 = softmax(&row).iter().sum();
             assert!((s - 1.0).abs() < 1e-6);
         }
     }
@@ -90,12 +67,6 @@ mod tests {
     fn empty_row_is_noop() {
         let mut row: [f32; 0] = [];
         softmax_inplace(&mut row);
-    }
-
-    #[test]
-    fn rejects_rank_one_tensor() {
-        let t = Tensor::zeros([4]);
-        assert!(softmax_rows(&t).is_err());
     }
 
     #[test]

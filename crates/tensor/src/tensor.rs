@@ -42,15 +42,6 @@ impl Tensor {
         Tensor { shape, data }
     }
 
-    /// Creates an `n`×`n` identity matrix.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Tensor::zeros([n, n]);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
-        t
-    }
-
     /// Creates a tensor from an owned buffer.
     ///
     /// # Errors
@@ -66,17 +57,6 @@ impl Tensor {
             });
         }
         Ok(Tensor { shape, data })
-    }
-
-    /// Creates a rank-2 tensor by evaluating `f(row, col)`.
-    pub fn from_fn_2d(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                data.push(f(r, c));
-            }
-        }
-        Tensor { shape: Shape::from([rows, cols]), data }
     }
 
     /// The tensor's shape.
@@ -102,11 +82,6 @@ impl Tensor {
     /// Mutable view of the underlying row-major buffer.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the tensor and returns the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Reshapes the tensor to `shape`, reusing the existing allocation
@@ -247,17 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn eye_is_identity() {
-        let e = Tensor::eye(3);
-        for r in 0..3 {
-            for c in 0..3 {
-                let expect = if r == c { 1.0 } else { 0.0 };
-                assert_eq!(e.get(&[r, c]).unwrap(), expect);
-            }
-        }
-    }
-
-    #[test]
     fn from_vec_validates_length() {
         assert!(Tensor::from_vec(vec![1.0; 5], [2, 3]).is_err());
         assert!(Tensor::from_vec(vec![1.0; 6], [2, 3]).is_ok());
@@ -287,7 +251,7 @@ mod tests {
 
     #[test]
     fn relative_l2_error_zero_for_identical() {
-        let t = Tensor::from_fn_2d(4, 4, |r, c| (r * 4 + c) as f32);
+        let t = Tensor::from_vec((0..16).map(|x| x as f32).collect(), [4, 4]).unwrap();
         assert_eq!(t.relative_l2_error(&t).unwrap(), 0.0);
     }
 

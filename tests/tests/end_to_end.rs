@@ -17,7 +17,7 @@ fn every_benchmark_runs_through_the_full_stack() {
         assert!(report.counters.total_cycles() > 0, "{bench}: no cycles");
         assert_eq!(report.counters.bank_conflicts, 0, "{bench}: inter-level conflicts");
         assert!(report.energy.total_pj() > 0.0);
-        assert!(report.fps() > 0.0);
+        assert!(report.seconds() > 0.0);
         // Paper-band sanity: the pruning rates should be in the right
         // neighborhood on every benchmark.
         let pr = report.reduction.point_reduction();

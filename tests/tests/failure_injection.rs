@@ -126,3 +126,52 @@ fn decoder_with_zero_layers_is_invalid() {
     let dec = DecoderConfig { n_queries: 4, n_layers: 0 };
     assert!(dec.validate().is_err());
 }
+
+/// A model-executing backend whose `run` panics on one request: the
+/// stand-in for a pool worker that dies mid-batch.
+struct PanicsOnRequest {
+    inner: defa_serve::backend::DenseBackend,
+    id: u64,
+}
+
+impl defa_serve::Backend for PanicsOnRequest {
+    fn name(&self) -> &'static str {
+        "panics-on-request"
+    }
+
+    fn run(
+        &self,
+        scenario: &SyntheticWorkload,
+        req: &defa_model::workload::InferenceRequest,
+    ) -> Result<defa_serve::BackendOutput, defa_serve::ServeError> {
+        assert_ne!(req.id, self.id, "injected backend panic");
+        self.inner.run(scenario, req)
+    }
+
+    fn estimate_cost_ns(&self, scenario: &SyntheticWorkload) -> u64 {
+        self.inner.estimate_cost_ns(scenario)
+    }
+
+    fn estimate_energy_pj(&self, scenario: &SyntheticWorkload) -> u128 {
+        self.inner.estimate_energy_pj(scenario)
+    }
+}
+
+#[test]
+fn a_panicking_pool_batch_is_a_worker_lost_error_not_a_hang() {
+    use defa_serve::{ServeConfig, ServeError, ServeRuntime, ServeSpec};
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let gen = defa_model::workload::RequestGenerator::standard(&MsdaConfig::tiny(), 7).unwrap();
+        let rt = ServeRuntime::with_pool_threads(gen, 2);
+        let backend: Arc<dyn defa_serve::Backend> =
+            Arc::new(PanicsOnRequest { inner: Default::default(), id: 3 });
+        let cfg = ServeConfig { queue_capacity: 16, ..ServeConfig::at_load(2_000.0, 8) };
+        let _ = tx.send(rt.serve(&ServeSpec::homogeneous(&backend, &cfg)));
+    });
+    let result = rx.recv_timeout(Duration::from_secs(120)).expect("serve hung on a lost worker");
+    assert!(matches!(result, Err(ServeError::WorkerLost(_))), "{:?}", result.map(|r| r.completed));
+}

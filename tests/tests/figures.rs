@@ -85,12 +85,12 @@ fn fig7b_memory_savings() {
     let no_fusion = run_msgs(MsgsSettings { fused: false, ..MsgsSettings::paper_default() });
     let no_reuse = run_msgs(MsgsSettings { fmap_reuse: false, ..MsgsSettings::paper_default() });
 
-    let fusion_dram = (no_fusion.dram_pj - on.dram_pj) / no_fusion.memory_pj();
-    let reuse_dram = (no_reuse.dram_pj - on.dram_pj) / no_reuse.memory_pj();
+    let fusion_dram = (no_fusion.dram_pj - on.dram_pj) / (no_fusion.dram_pj + no_fusion.sram_pj);
+    let reuse_dram = (no_reuse.dram_pj - on.dram_pj) / (no_reuse.dram_pj + no_reuse.sram_pj);
     assert!(fusion_dram > 0.4, "fusion DRAM saving {fusion_dram} (paper 0.733)");
     assert!(reuse_dram > 0.6, "reuse DRAM saving {reuse_dram} (paper 0.882)");
-    let fusion_sram = (no_fusion.sram_pj - on.sram_pj) / no_fusion.memory_pj();
-    let reuse_sram = (no_reuse.sram_pj - on.sram_pj) / no_reuse.memory_pj();
+    let fusion_sram = (no_fusion.sram_pj - on.sram_pj) / (no_fusion.dram_pj + no_fusion.sram_pj);
+    let reuse_sram = (no_reuse.sram_pj - on.sram_pj) / (no_reuse.dram_pj + no_reuse.sram_pj);
     assert!(fusion_sram > 0.0, "fusion SRAM saving {fusion_sram}");
     assert!(reuse_sram > 0.0, "reuse SRAM saving {reuse_sram}");
 }

@@ -111,7 +111,8 @@ fn observability_output_is_invariant_to_the_outcome_capture_cap() {
 #[test]
 fn sampled_span_count_matches_the_seeded_sampler_exactly() {
     for rate in [0.0, 0.25, 1.0] {
-        let r = run_with(1, ObsConfig::tracing_at(rate));
+        let r =
+            run_with(1, ObsConfig { tracing: true, trace_sample: rate, ..ObsConfig::default() });
         let sampler = SpanSampler::new(SEED, rate);
         let expected: Vec<u64> = (0..96).filter(|&id| sampler.sampled(id)).collect();
         assert_eq!(
@@ -156,7 +157,7 @@ fn disabled_observability_records_nothing_and_is_the_default() {
 
 #[test]
 fn bounded_span_buffer_caps_deterministically() {
-    let tiny = ObsConfig { trace_buffer: 16, ..ObsConfig::tracing_at(1.0) };
+    let tiny = ObsConfig { tracing: true, trace_buffer: 16, ..ObsConfig::default() };
     let r1 = run_with(1, tiny.clone());
     let r4 = run_with(4, tiny);
     assert_eq!(r1.obs.events.len(), 16, "buffer must cap at its configured size");
@@ -169,11 +170,17 @@ fn bounded_span_buffer_caps_deterministically() {
 fn degenerate_obs_configs_are_rejected_by_validate() {
     let base = ServeConfig::at_load(1_000.0, 8);
     for (obs, field) in [
-        (ObsConfig::tracing_at(2.0), "obs.trace_sample"),
-        (ObsConfig::tracing_at(f64::NAN), "obs.trace_sample"),
-        (ObsConfig { trace_buffer: 0, ..ObsConfig::tracing_at(1.0) }, "obs.trace_buffer"),
         (
-            ObsConfig { metrics_buffer: 0, ..ObsConfig::disabled().with_metrics() },
+            ObsConfig { tracing: true, trace_sample: 2.0, ..ObsConfig::default() },
+            "obs.trace_sample",
+        ),
+        (
+            ObsConfig { tracing: true, trace_sample: f64::NAN, ..ObsConfig::default() },
+            "obs.trace_sample",
+        ),
+        (ObsConfig { tracing: true, trace_buffer: 0, ..ObsConfig::default() }, "obs.trace_buffer"),
+        (
+            ObsConfig { metrics: true, metrics_buffer: 0, ..ObsConfig::default() },
             "obs.metrics_buffer",
         ),
     ] {

@@ -11,7 +11,7 @@ use defa_model::workload::{Benchmark, SyntheticWorkload};
 use defa_model::{LevelShape, MsdaConfig, SamplePoint};
 use defa_prune::fwp::{FwpConfig, SampleFrequency};
 use defa_prune::pap::{point_mask, PapConfig};
-use defa_prune::{BitMask, RangeConfig};
+use defa_prune::RangeConfig;
 use defa_tensor::matmul::{matmul, matmul_naive, matmul_row_masked};
 use defa_tensor::rng::TensorRng;
 use defa_tensor::softmax::softmax;
@@ -111,7 +111,7 @@ fn pap_is_monotone_and_sound() {
         let m_hi = point_mask(&probs, PapConfig::new(hi).unwrap()).unwrap();
         assert!(m_lo.kept() >= m_hi.kept());
         for (i, &p) in probs.as_slice().iter().enumerate() {
-            if m_hi.is_kept(i).unwrap() {
+            if m_hi.as_bools()[i] {
                 assert!(p >= hi);
             }
         }
@@ -142,54 +142,19 @@ fn range_clamp_is_idempotent() {
     });
 }
 
-/// Mask intersection keeps at most what either side keeps.
-#[test]
-fn mask_and_is_an_intersection() {
-    run_cases(128, 0xAAD, |rng| {
-        let len = 1 + rng.index(63);
-        let a: Vec<bool> = (0..len).map(|_| rng.chance(0.5)).collect();
-        let b: Vec<bool> = a.iter().map(|&x| !x).collect();
-        let ma = BitMask::from_bools(a);
-        let mb = BitMask::from_bools(b);
-        let both = ma.and(&mb).unwrap();
-        assert_eq!(both.kept(), 0);
-        let same = ma.and(&ma).unwrap();
-        assert_eq!(same.kept(), ma.kept());
-    });
-}
-
-/// The mask codec round-trips any mask and any payload exactly.
-#[test]
-fn codec_round_trips() {
-    run_cases(128, 0xC0DEC, |rng| {
-        use defa_prune::codec::{CompressedStream, PackedMask};
-        let len = rng.index(200);
-        let bits: Vec<bool> = (0..len).map(|_| rng.chance(0.5)).collect();
-        let values: Vec<f32> = (0..len).map(|_| rng.uniform_value(-100.0, 100.0)).collect();
-        let mask = BitMask::from_bools(bits.clone());
-        assert_eq!(PackedMask::pack(&mask).unpack(), mask);
-        let stream = CompressedStream::compress(&values, &mask).unwrap();
-        let back = stream.decompress();
-        for (i, (&orig, &got)) in values.iter().zip(&back).enumerate() {
-            if mask.is_kept(i).unwrap() {
-                assert_eq!(orig, got);
-            } else {
-                assert_eq!(got, 0.0);
-            }
-        }
-    });
-}
-
 /// The fixed-point BI datapath tracks the real-arithmetic bilinear form
 /// within its quantization grid for arbitrary operands.
 #[test]
 fn bi_datapath_tracks_reference() {
     run_cases(512, 0xB1DA, |rng| {
-        use defa_arch::bi_datapath::interpolate_f32;
+        use defa_arch::bi_datapath::{interpolate, COEFF_FRAC_BITS};
+        use defa_tensor::Fixed;
         let n: Vec<f32> = (0..4).map(|_| rng.uniform_value(-8.0, 8.0)).collect();
         let t0 = rng.uniform_value(0.0, 1.0);
         let t1 = rng.uniform_value(0.0, 1.0);
-        let hw = interpolate_f32([n[0], n[1], n[2], n[3]], t0, t1, 10);
+        let fixed = [n[0], n[1], n[2], n[3]].map(|v| Fixed::from_f32(v, 10));
+        let coeff = |t: f32| Fixed::from_f32(t, COEFF_FRAC_BITS);
+        let hw = interpolate(fixed, coeff(t0), coeff(t1)).value.to_f32();
         let sw = n[0] * (1.0 - t1) * (1.0 - t0)
             + n[1] * t1 * (1.0 - t0)
             + n[2] * (1.0 - t1) * t0
