@@ -19,6 +19,16 @@ fn bench_masks(c: &mut Criterion) {
             f.fmap_mask(FwpConfig::paper_default()).unwrap()
         })
     });
+    // The pruned pipeline counts only the points PAP kept.
+    let pmask = point_mask(&out.probs, PapConfig::paper_default()).unwrap();
+    group.bench_function("fwp_count_and_mask_pap", |b| {
+        b.iter(|| {
+            let mut f = SampleFrequency::new(&cfg).unwrap();
+            f.record_all(&cfg, std::hint::black_box(&out.locations), Some(pmask.as_bools()))
+                .unwrap();
+            f.fmap_mask(FwpConfig::paper_default()).unwrap()
+        })
+    });
     group.bench_function("pap_threshold", |b| {
         b.iter(|| point_mask(std::hint::black_box(&out.probs), PapConfig::paper_default()).unwrap())
     });

@@ -5,6 +5,15 @@
 //! `N0..N3` (Eq. 3 of the paper). Out-of-range neighbors contribute zero,
 //! matching `grid_sample(..., padding_mode="zeros")` in the official
 //! implementation.
+//!
+//! The tap decode is call-free. On the x86-64 baseline target (no SSE4.1
+//! `roundss`), `f32::floor` lowers to a call to libm's `floorf`; every
+//! xmm register is caller-saved, so that call spilled whatever
+//! accumulators a sampling or counting kernel kept in registers.
+//! [`Footprint::at`] therefore uses the crate's own `floor`, which is
+//! bit-identical to `f32::floor` on every input (NaN payloads included),
+//! and [`Footprint::in_bounds`] checks bounds with one unsigned compare per
+//! axis.
 
 use crate::LevelShape;
 
@@ -35,11 +44,35 @@ pub struct Footprint {
     pub t1: f32,
 }
 
+/// `f32::floor` without the libm call, bit for bit.
+///
+/// Below `2²³` in magnitude an `f32` may have a fractional part. Adding
+/// and subtracting `±2²³` there rounds it to the nearest integer exactly
+/// (the sum's unit in the last place is 1), a step down fixes the values
+/// that rounded up, and `copysign` restores the sign of `-0.0`; all of it
+/// stays in float registers, with no conversion or saturation check. At or
+/// above `2²³` every finite value is already integral; it, the infinities
+/// and every NaN (signalling ones included, payload and all) come back
+/// unchanged, as they do from glibc's `floorf`.
+#[inline(always)]
+pub(crate) fn floor(x: f32) -> f32 {
+    const INTEGRAL_FROM: f32 = 8_388_608.0; // 2^23
+    if x.abs() < INTEGRAL_FROM {
+        let c = INTEGRAL_FROM.copysign(x);
+        let r = (x + c) - c;
+        let f = if r > x { r - 1.0 } else { r };
+        f.copysign(x)
+    } else {
+        x
+    }
+}
+
 impl Footprint {
     /// Computes the footprint of a sample at continuous `(x, y)`.
+    #[inline]
     pub fn at(x: f32, y: f32) -> Self {
-        let x0 = x.floor();
-        let y0 = y.floor();
+        let x0 = floor(x);
+        let y0 = floor(y);
         let t1 = x - x0;
         let t0 = y - y0;
         let (x0, y0) = (x0 as i64, y0 as i64);
@@ -53,10 +86,19 @@ impl Footprint {
     }
 
     /// Neighbors that fall inside a level of the given shape.
+    #[inline]
     pub fn in_bounds(&self, shape: LevelShape) -> impl Iterator<Item = Neighbor> + '_ {
-        self.neighbors.iter().copied().filter(move |n| {
-            n.x >= 0 && n.y >= 0 && (n.x as usize) < shape.w && (n.y as usize) < shape.h
-        })
+        self.neighbors.iter().copied().filter(move |n| n.inside(shape))
+    }
+}
+
+impl Neighbor {
+    /// Whether the pixel lies inside a level of the given shape. A negative
+    /// coordinate wraps to a huge `u64`, so one unsigned compare per axis
+    /// also rejects it.
+    #[inline(always)]
+    pub(crate) fn inside(&self, shape: LevelShape) -> bool {
+        (self.x as u64) < shape.w as u64 && (self.y as u64) < shape.h as u64
     }
 }
 
@@ -182,6 +224,72 @@ mod tests {
         let s = sample(&data, shape, 2, 0.25, 0.75);
         assert!((s[0] - 0.25).abs() < 1e-6);
         assert!((s[1] - 0.75).abs() < 1e-6);
+    }
+
+    /// Inputs where a hand-written floor goes wrong first: signed zeros,
+    /// subnormals, halves, the `2²³` integral boundary, the `i32` range
+    /// ends, infinities and NaNs of both kinds, signs and payloads.
+    fn floor_edge_set() -> Vec<f32> {
+        let two23 = 8_388_608.0f32;
+        let two31 = 2_147_483_648.0f32;
+        let next_up = |v: f32| f32::from_bits(v.to_bits() + 1);
+        let next_down = |v: f32| f32::from_bits(v.to_bits() - 1);
+        let mut v = vec![
+            0.0,
+            f32::from_bits(1),           // smallest subnormal
+            f32::from_bits(0x007f_ffff), // largest subnormal
+            f32::MIN_POSITIVE,
+            0.5,
+            next_down(0.5),
+            next_up(0.5),
+            next_down(1.0),
+            1.0,
+            next_up(1.0),
+            1.5,
+            2.5,
+            next_down(two23),
+            two23 - 0.5,
+            two23,
+            next_up(two23),
+            two23 + 1.0,
+            next_down(two31),
+            two31,
+            next_up(two31),
+            f32::MAX,
+            f32::INFINITY,
+            f32::from_bits(0x7fc0_0000), // quiet NaN
+            f32::from_bits(0x7fc1_2345), // quiet NaN with payload
+            f32::from_bits(0x7f80_0001), // signalling NaN
+            f32::from_bits(0x7fa0_beef), // signalling NaN with payload
+        ];
+        let negated: Vec<f32> =
+            v.iter().map(|x| f32::from_bits(x.to_bits() ^ 0x8000_0000)).collect();
+        v.extend(negated);
+        v
+    }
+
+    #[test]
+    fn floor_matches_std_on_the_edge_set_bit_for_bit() {
+        for x in floor_edge_set() {
+            let x = std::hint::black_box(x);
+            assert_eq!(
+                floor(x).to_bits(),
+                x.floor().to_bits(),
+                "floor({x:e}) bits {:#010x}",
+                x.to_bits()
+            );
+        }
+    }
+
+    /// Every one of the 2³² bit patterns; run with
+    /// `cargo test --release -p defa-model -- --ignored`.
+    #[test]
+    #[ignore = "exhaustive: 2^32 inputs, seconds in release, minutes in debug"]
+    fn floor_matches_std_on_every_bit_pattern() {
+        for bits in 0..=u32::MAX {
+            let x = std::hint::black_box(f32::from_bits(bits));
+            assert_eq!(floor(x).to_bits(), x.floor().to_bits(), "bits {bits:#010x}");
+        }
     }
 
     #[test]

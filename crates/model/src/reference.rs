@@ -231,6 +231,17 @@ impl MsdaLayer {
     /// tables — e.g. after range clamping — while reusing the golden
     /// sampling/aggregation kernel.
     ///
+    /// For each (query, head) the kernel first compacts, without a branch,
+    /// the slots the mask keeps. Then, for each 8-channel block of the
+    /// head, it keeps one `[f32; 8]` accumulator in registers across every
+    /// kept slot with a non-zero probability and its in-bounds,
+    /// non-zero-weight taps, and stores it once; channels beyond the last
+    /// full block accumulate straight into the output. The tap decode
+    /// ([`Footprint::at`]) makes no call, so nothing spills the
+    /// accumulator. Each channel still sums `w·weight·v` over slots in
+    /// ascending order and taps in `N0..N3` order, exactly as a per-point
+    /// loop would.
+    ///
     /// Queries are independent, so their output rows are computed in
     /// parallel; each row's neighbor accumulation runs in the same fixed
     /// order regardless of thread count, so results are bit-identical to
@@ -240,7 +251,8 @@ impl MsdaLayer {
     ///
     /// Returns [`ModelError::ShapeMismatch`] if `probs` is not
     /// `[n, points_per_query]`, if `locations` or `point_mask` do not hold
-    /// one entry per point of those `n` queries, or if `value` is not
+    /// one entry per point of those `n` queries, if a location names a
+    /// level the configuration does not have, or if `value` is not
     /// `[n_in, d_model]`.
     pub fn sample_and_aggregate(
         &self,
@@ -286,10 +298,16 @@ impl MsdaLayer {
                 cfg.d_model
             )));
         }
+        if let Some(pt) = locations.iter().find(|p| p.level as usize >= cfg.n_levels()) {
+            return Err(ModelError::ShapeMismatch(format!(
+                "sampling point on level {} of a {}-level pyramid",
+                pt.level,
+                cfg.n_levels()
+            )));
+        }
         let d = cfg.d_model;
         let dh = cfg.head_dim();
         let lp = cfg.points_per_head();
-        let n_heads = cfg.n_heads;
         let vdata = value.as_slice();
         let pdata = probs.as_slice();
 
@@ -298,48 +316,109 @@ impl MsdaLayer {
         for l in 0..cfg.n_levels() {
             level_base.push(cfg.level_offset(l)?);
         }
-        let level_base = &level_base[..];
+        let taps = TapDecoder { levels: &cfg.levels, level_base: &level_base, d };
 
         let mut output = Tensor::zeros([n, d]);
         // Each query's aggregation walks ppq points x 4 neighbors x dh
         // channels — substantial, so the gate is on the point count alone.
         let parallel = n * ppq >= PAR_MIN_ELEMS / 4;
-        defa_parallel::par_chunks_mut_if(parallel, output.as_mut_slice(), d, |i, orow_all| {
-            let prow = &pdata[i * ppq..(i + 1) * ppq];
-            for h in 0..n_heads {
+        defa_parallel::par_chunks_mut_if(parallel, output.as_mut_slice(), d, move |i, orow_all| {
+            let qslots = i * ppq..(i + 1) * ppq;
+            let prow = &pdata[qslots.clone()];
+            let qlocs = &locations[qslots.clone()];
+            let qmask = point_mask.map(|pm| &pm[qslots]);
+            let mut kept = [0u8; SLOT_CHUNK];
+            for (h, orow) in orow_all.chunks_exact_mut(dh).enumerate() {
                 let chan0 = h * dh;
-                let orow = &mut orow_all[chan0..chan0 + dh];
-                for s in 0..lp {
-                    let slot = h * lp + s;
-                    let gslot = i * ppq + slot;
-                    if let Some(pm) = point_mask {
-                        if !pm[gslot] {
-                            continue;
-                        }
+                for s0 in (h * lp..(h + 1) * lp).step_by(SLOT_CHUNK) {
+                    let s1 = (s0 + SLOT_CHUNK).min((h + 1) * lp);
+                    // Branch-free compaction of the PAP-kept slots. A
+                    // short-circuit `mask && prob != 0` here would branch on
+                    // the mask; zero probabilities, which are rare, are
+                    // skipped at decode instead.
+                    let mut k = 0;
+                    for s in s0..s1 {
+                        kept[k] = (s - s0) as u8;
+                        k += qmask.is_none_or(|m| m[s]) as usize;
                     }
-                    let w = prow[slot];
-                    if w == 0.0 {
-                        continue;
-                    }
-                    let pt = locations[gslot];
-                    let shape = cfg.levels[pt.level as usize];
-                    let base = level_base[pt.level as usize];
-                    let fp = Footprint::at(pt.x, pt.y);
-                    for nb in fp.in_bounds(shape) {
-                        if nb.weight == 0.0 {
-                            continue;
+                    let kept = kept[..k].iter().map(|&j| s0 + j as usize);
+                    let mut blocks = orow.chunks_exact_mut(LANES);
+                    for (b, out) in blocks.by_ref().enumerate() {
+                        let c0 = chan0 + b * LANES;
+                        let mut acc = [0.0f32; LANES];
+                        acc.copy_from_slice(out);
+                        for s in kept.clone() {
+                            taps.for_each(prow[s], qlocs[s], |row, ww| {
+                                let px = &vdata[row + c0..row + c0 + LANES];
+                                for (a, &v) in acc.iter_mut().zip(px) {
+                                    *a += ww * v;
+                                }
+                            });
                         }
-                        let token = base + nb.y as usize * shape.w + nb.x as usize;
-                        let px = &vdata[token * d + chan0..token * d + chan0 + dh];
-                        let ww = w * nb.weight;
-                        for (o, &v) in orow.iter_mut().zip(px) {
-                            *o += ww * v;
+                        out.copy_from_slice(&acc);
+                    }
+                    let tail = blocks.into_remainder();
+                    if !tail.is_empty() {
+                        let c0 = chan0 + dh - tail.len();
+                        for s in kept.clone() {
+                            taps.for_each(prow[s], qlocs[s], |row, ww| {
+                                let px = &vdata[row + c0..row + chan0 + dh];
+                                for (o, &v) in tail.iter_mut().zip(px) {
+                                    *o += ww * v;
+                                }
+                            });
                         }
                     }
                 }
             }
         });
         Ok(output)
+    }
+}
+
+/// Channels one register-resident accumulator covers in
+/// [`MsdaLayer::sample_and_aggregate`]: a fixed-width block the compiler
+/// keeps in vector registers across every tap of a head.
+const LANES: usize = 8;
+
+/// Slots of one head compacted at a time; `points_per_head` beyond this
+/// is processed in several chunks, each reloading the accumulators.
+const SLOT_CHUNK: usize = 64;
+
+/// Decodes one sampling point into its bilinear taps against `value`.
+#[derive(Clone, Copy)]
+struct TapDecoder<'a> {
+    levels: &'a [crate::LevelShape],
+    level_base: &'a [usize],
+    d: usize,
+}
+
+impl TapDecoder<'_> {
+    /// Calls `f(row, ww)` for each in-bounds, non-zero-weight neighbor of
+    /// `pt` in `N0..N3` order, where `row` is the neighbor's first element
+    /// in `value` and `ww = w · weight`; does nothing if `w == 0`.
+    #[inline(always)]
+    fn for_each(self, w: f32, pt: SamplePoint, mut f: impl FnMut(usize, f32)) {
+        if w == 0.0 {
+            return;
+        }
+        let level = pt.level as usize;
+        let shape = self.levels[level];
+        let fp = Footprint::at(pt.x, pt.y);
+        // N0's first element, and the steps from it to N0..N3. It wraps
+        // when N0 lies outside the level, but only in-bounds taps use it,
+        // and modular arithmetic lands those exactly.
+        let n0 = fp.neighbors[0];
+        let token0 = self.level_base[level]
+            .wrapping_add((n0.y as usize).wrapping_mul(shape.w))
+            .wrapping_add(n0.x as usize);
+        let row0 = token0.wrapping_mul(self.d);
+        let down = shape.w * self.d;
+        for (nb, step) in fp.neighbors.into_iter().zip([0, self.d, down, down + self.d]) {
+            if nb.weight != 0.0 && nb.inside(shape) {
+                f(row0.wrapping_add(step), w * nb.weight);
+            }
+        }
     }
 }
 
@@ -473,7 +552,151 @@ mod tests {
             let err = sample(&bad, None);
             assert!(matches!(err, Err(ModelError::ShapeMismatch(_))), "{err:?}");
         }
+        // A location on a level the pyramid does not have.
+        let mut off_pyramid = exact.locations.clone();
+        off_pyramid[5].level = cfg.n_levels() as u8 + 5;
+        let err = layer.sample_and_aggregate(&exact.probs, &off_pyramid, &exact.value, None);
+        assert!(matches!(err, Err(ModelError::ShapeMismatch(_))), "{err:?}");
         assert_eq!(sample(&exact.value, None).unwrap(), exact.output);
+    }
+
+    /// The per-point loop [`MsdaLayer::sample_and_aggregate`] replaced:
+    /// libm's `f32::floor`, a branch per pruned or zero-probability slot,
+    /// and every tap accumulated straight into the output row.
+    fn sample_and_aggregate_oracle(
+        cfg: &MsdaConfig,
+        probs: &Tensor,
+        locations: &[SamplePoint],
+        value: &Tensor,
+        point_mask: Option<&[bool]>,
+    ) -> Tensor {
+        let (d, dh, lp, ppq) =
+            (cfg.d_model, cfg.head_dim(), cfg.points_per_head(), cfg.points_per_query());
+        let n = probs.shape().dims()[0];
+        let (pdata, vdata) = (probs.as_slice(), value.as_slice());
+        let mut output = Tensor::zeros([n, d]);
+        for (i, orow_all) in output.as_mut_slice().chunks_exact_mut(d).enumerate() {
+            for h in 0..cfg.n_heads {
+                let orow = &mut orow_all[h * dh..(h + 1) * dh];
+                for slot in h * lp..(h + 1) * lp {
+                    let g = i * ppq + slot;
+                    let w = pdata[g];
+                    if point_mask.is_some_and(|m| !m[g]) || w == 0.0 {
+                        continue;
+                    }
+                    let pt = locations[g];
+                    let shape = cfg.levels[pt.level as usize];
+                    let base = cfg.level_offset(pt.level as usize).unwrap();
+                    let (x0, y0) = (pt.x.floor(), pt.y.floor());
+                    let (t1, t0) = (pt.x - x0, pt.y - y0);
+                    let (x0, y0) = (x0 as i64, y0 as i64);
+                    let taps = [
+                        (x0, y0, (1.0 - t1) * (1.0 - t0)),
+                        (x0 + 1, y0, t1 * (1.0 - t0)),
+                        (x0, y0 + 1, (1.0 - t1) * t0),
+                        (x0 + 1, y0 + 1, t1 * t0),
+                    ];
+                    for (x, y, weight) in taps {
+                        let inside =
+                            x >= 0 && y >= 0 && (x as usize) < shape.w && (y as usize) < shape.h;
+                        if !inside || weight == 0.0 {
+                            continue;
+                        }
+                        let token = base + y as usize * shape.w + x as usize;
+                        let px = &vdata[token * d + h * dh..token * d + (h + 1) * dh];
+                        for (o, &v) in orow.iter_mut().zip(px) {
+                            *o += w * weight * v;
+                        }
+                    }
+                }
+            }
+        }
+        output
+    }
+
+    /// Random kernel inputs with the cases a tap decode gets wrong first:
+    /// zero probabilities, integral and half-pixel coordinates, the last
+    /// row and column, and points partly or wholly outside their level.
+    fn kernel_inputs(cfg: &MsdaConfig, seed: u64) -> (Tensor, Vec<SamplePoint>, Tensor) {
+        let mut rng = TensorRng::seed_from(seed);
+        let n = cfg.n_in();
+        let ppq = cfg.points_per_query();
+        let mut probs = rng.uniform([n, ppq], 0.0, 1.0);
+        for p in probs.as_mut_slice() {
+            if rng.index(8) == 0 {
+                *p = 0.0;
+            }
+        }
+        let mut locations = Vec::with_capacity(n * ppq);
+        for _ in 0..n * ppq {
+            let level = rng.index(cfg.n_levels());
+            let shape = cfg.levels[level];
+            let (w, h) = (shape.w as f32, shape.h as f32);
+            let edge = [0.0, -0.5, -1.0, w - 1.0, w - 0.5, w, 0.5, -3.25];
+            let x = match rng.index(4) {
+                0 => edge[rng.index(edge.len())],
+                1 => rng.index(shape.w) as f32,
+                _ => rng.uniform_value(-2.0, w + 1.0),
+            };
+            let y = match rng.index(4) {
+                0 => [0.0, -0.5, h - 1.0, h - 0.5, h, 1.5][rng.index(6)],
+                _ => rng.uniform_value(-2.0, h + 1.0),
+            };
+            locations.push(SamplePoint::new(level as u8, x, y));
+        }
+        let value = rng.normal([n, cfg.d_model], 0.0, 1.0);
+        (probs, locations, value)
+    }
+
+    #[test]
+    fn kernel_matches_per_point_oracle_bit_for_bit() {
+        let small_levels = MsdaConfig::small().levels;
+        let configs = [
+            ("tiny, head width 8", MsdaConfig::tiny()),
+            ("small, head width 8", MsdaConfig::small()),
+            // MsdaConfig::full()'s heads on a small pyramid: head width 32.
+            (
+                "full heads, head width 32",
+                MsdaConfig { levels: small_levels, ..MsdaConfig::full() },
+            ),
+            // One 8-lane block plus a 4-channel tail.
+            ("head width 12", MsdaConfig { d_model: 24, ..MsdaConfig::tiny() }),
+            // Tail only, and 80 slots per head: two compaction chunks.
+            (
+                "head width 3, 80 slots",
+                MsdaConfig { d_model: 6, n_points: 40, ..MsdaConfig::tiny() },
+            ),
+        ];
+        for (seed, (label, cfg)) in configs.into_iter().enumerate() {
+            let weights = MsdaWeights {
+                w_attn: Tensor::zeros([cfg.d_model, cfg.points_per_query()]),
+                w_offset: Tensor::zeros([cfg.d_model, 2 * cfg.points_per_query()]),
+                w_value: Tensor::zeros([cfg.d_model, cfg.d_model]),
+            };
+            let layer = MsdaLayer::new(cfg.clone(), weights).unwrap();
+            let (probs, locations, value) = kernel_inputs(&cfg, 100 + seed as u64);
+            let mut rng = TensorRng::seed_from(200 + seed as u64);
+            let random: Vec<bool> = (0..locations.len()).map(|_| rng.index(3) == 0).collect();
+            let none = vec![false; locations.len()];
+            for (mask_label, mask) in
+                [("no mask", None), ("random", Some(&random)), ("all false", Some(&none))]
+            {
+                let mask = mask.map(|m| m.as_slice());
+                let oracle = sample_and_aggregate_oracle(&cfg, &probs, &locations, &value, mask);
+                for threads in [1, 4] {
+                    let got = defa_parallel::with_num_threads(threads, || {
+                        layer.sample_and_aggregate(&probs, &locations, &value, mask).unwrap()
+                    });
+                    let bits =
+                        |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&got),
+                        bits(&oracle),
+                        "{label}, {mask_label}, {threads} threads"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -49,6 +49,10 @@ impl Default for FwpConfig {
     }
 }
 
+/// Points [`SampleFrequency::record_all`] compacts per pass under a keep
+/// mask.
+const KEEP_CHUNK: usize = 256;
+
 /// Per-pixel sampled-frequency counters over the whole pyramid.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SampleFrequency {
@@ -76,6 +80,7 @@ impl SampleFrequency {
 
     /// Records one bilinear sample: every in-bounds neighbor of the point is
     /// counted once, exactly as Figure 2 (right) illustrates.
+    #[inline]
     pub fn record(&mut self, cfg: &MsdaConfig, pt: SamplePoint) {
         let level = pt.level as usize;
         if level >= self.level_offsets.len() {
@@ -112,9 +117,18 @@ impl SampleFrequency {
                     points.len()
                 )));
             }
-            for (pt, &k) in points.iter().zip(mask) {
-                if k {
-                    self.record(cfg, *pt);
+            // Branch-free compaction of the kept indices, a fixed-size
+            // chunk at a time, then a counting pass with no data-dependent
+            // branch but the decode's own bounds checks.
+            let mut kept = [0usize; KEEP_CHUNK];
+            for (pts, mask) in points.chunks(KEEP_CHUNK).zip(mask.chunks(KEEP_CHUNK)) {
+                let mut k = 0;
+                for (j, &keep) in mask.iter().enumerate() {
+                    kept[k] = j;
+                    k += keep as usize;
+                }
+                for &j in &kept[..k] {
+                    self.record(cfg, pts[j]);
                 }
             }
         } else {
@@ -262,6 +276,35 @@ mod tests {
         let idx_dropped = 4 * cfg.levels[0].w + 4;
         assert!(f.counts()[idx_kept] > 0);
         assert_eq!(f.counts()[idx_dropped], 0);
+    }
+
+    #[test]
+    fn masked_record_all_matches_per_point_record() {
+        use defa_model::workload::{Benchmark, SyntheticWorkload};
+        use defa_tensor::rng::TensorRng;
+        for cfg in [MsdaConfig::tiny(), MsdaConfig::small()] {
+            let wl = SyntheticWorkload::generate(Benchmark::Dino, &cfg, 11).unwrap();
+            let mut pts =
+                wl.layer(0).unwrap().forward(wl.initial_fmap(), Some(wl.warp())).unwrap().locations;
+            // Out-of-level and off-pyramid points must be skipped alike.
+            pts[1] = SamplePoint::new(0, -7.5, 2.0);
+            pts[2] = SamplePoint::new(9, 1.0, 1.0);
+            let mut rng = TensorRng::seed_from(5);
+            let random: Vec<bool> = (0..pts.len()).map(|_| rng.index(5) == 0).collect();
+            let all = vec![true; pts.len()];
+            let none = vec![false; pts.len()];
+            for mask in [&random, &all, &none] {
+                let mut oracle = SampleFrequency::new(&cfg).unwrap();
+                for (pt, &keep) in pts.iter().zip(mask) {
+                    if keep {
+                        oracle.record(&cfg, *pt);
+                    }
+                }
+                let mut f = SampleFrequency::new(&cfg).unwrap();
+                f.record_all(&cfg, &pts, Some(mask)).unwrap();
+                assert_eq!(f.counts(), oracle.counts());
+            }
+        }
     }
 
     #[test]

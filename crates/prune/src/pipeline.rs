@@ -16,6 +16,13 @@
 //! only the hardware model prices the kept share of the offset projection
 //! (`defa-core`'s `dataflow`, which replays the same schedule cycle by
 //! cycle).
+//!
+//! Step 4 is where the pruned path's time goes, and both halves of it work
+//! on the PAP-kept points only: the sampling kernel
+//! ([`MsdaLayer::sample_and_aggregate`]) and the frequency count
+//! ([`SampleFrequency::record_all`]) each compact the kept slots without a
+//! branch first, then decode every kept point's bilinear taps with the
+//! call-free [`defa_model::bilinear::Footprint::at`].
 
 use crate::fwp::{FwpConfig, SampleFrequency};
 use crate::pap::{point_mask, retained_mass, PapConfig};

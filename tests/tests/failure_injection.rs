@@ -95,6 +95,10 @@ fn mask_length_mismatches_error_not_panic() {
     let two_rows = Tensor::zeros([2, cfg.d_model]);
     let value = layer.sample_and_aggregate(&out.probs, &out.locations, &two_rows, None);
     assert!(matches!(value, Err(ModelError::ShapeMismatch(_))), "{value:?}");
+    let mut off_pyramid = out.locations.clone();
+    off_pyramid[7].level = cfg.n_levels() as u8;
+    let level = layer.sample_and_aggregate(&out.probs, &off_pyramid, &out.value, None);
+    assert!(matches!(level, Err(ModelError::ShapeMismatch(_))), "{level:?}");
 }
 
 #[test]
